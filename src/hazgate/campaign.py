@@ -25,7 +25,6 @@ from .scenarios import (
     TRANSFORM_FOR_GUIDEWORD,
     nominal_timeline,
 )
-from .simulate import run_scenario
 
 SOUNDNESS_REQUIREMENTS = ("R14", "R20", "R21", "R23", "R24", "R25")
 

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-from .model import KIND_ACTION, KIND_DECISION, KIND_FINAL, KIND_INITIAL, ProcessModel, normalize_label
+from .model import KIND_ACTION, KIND_FINAL, KIND_INITIAL, ProcessModel, normalize_label
 
 SOURCES = ("Radiographer", "Patient", "Sensor", "System")
 
@@ -214,7 +215,9 @@ class ConfirmationLedger:
             confirmations.pop(source, None)
 
     def copy(self) -> "ConfirmationLedger":
-        dup = ConfirmationLedger(self.required, self.staleness_ms)
+        dup = ConfirmationLedger.__new__(ConfirmationLedger)
+        dup.required = self.required  # never mutated after __init__
+        dup.staleness_ms = self.staleness_ms
         dup.received = {k: dict(v) for k, v in self.received.items()}
         return dup
 
@@ -285,6 +288,13 @@ _GUARD_ROLES = {
     "processDone": "done",
 }
 
+
+@lru_cache(maxsize=1024)
+def _label_role(label: str) -> str:
+    """Executive role of a node display label; labels are immutable strings."""
+    return _NODE_ROLES.get(normalize_label(label), "generic")
+
+
 STATUS_RUNNING = "running"
 STATUS_COMPLETE = "complete"
 STATUS_ABANDONED = "abandoned"
@@ -348,6 +358,49 @@ class ExecState:
             self.patient_last_assent is not None
             and now - self.patient_last_assent <= staleness_ms
         )
+
+    def branch(self) -> "ExecState":
+        """Independent copy for search branching, with an empty log.
+
+        Every slot is copied; the mutable containers and the ledger get
+        their own copies, so handling an event on the branch leaves this
+        state untouched.  The log starts empty so each branch records only
+        its own step's entries.
+        """
+        dup = ExecState.__new__(ExecState)
+        dup.current_node = self.current_node
+        dup.clock = self.clock
+        dup.system_ready = self.system_ready
+        dup.posture_valid = self.posture_valid
+        dup.trajectory_valid = self.trajectory_valid
+        dup.arm_moving = self.arm_moving
+        dup.exposure_locked = self.exposure_locked
+        dup.interruption_active = self.interruption_active
+        dup.fault_active = self.fault_active
+        dup.revalidation_required = self.revalidation_required
+        dup.compliance_mode = self.compliance_mode
+        dup.posture_stable_since = self.posture_stable_since
+        dup.patient_last_assent = self.patient_last_assent
+        dup.patient_not_ok = self.patient_not_ok
+        dup.views_acquired = set(self.views_acquired)
+        dup.retake_count = dict(self.retake_count)
+        dup.current_view = self.current_view
+        dup.self_test_result = self.self_test_result
+        dup.stage_result = self.stage_result
+        dup.posture_result = self.posture_result
+        dup.plan_result = self.plan_result
+        dup.adjustments_result = self.adjustments_result
+        dup.retake_result = self.retake_result
+        dup.generic_decisions = dict(self.generic_decisions)
+        dup.motion_done = self.motion_done
+        dup.generic_advance = self.generic_advance
+        dup.exposure_in_progress = self.exposure_in_progress
+        dup.awaiting_resume = self.awaiting_resume
+        dup.session_status = self.session_status
+        dup.ledger = self.ledger.copy()
+        dup.log = SessionLog()
+        dup.step_count = self.step_count
+        return dup
 
     def snapshot(self) -> tuple:
         """Cheap immutable view of everything the trace monitors evaluate."""
@@ -456,10 +509,7 @@ class SafetyExecutive:
         self.enabled = enabled
         self.transition_hook = None  # callable(node_id, clock); tests/sweeps only
         self._nodes = {n.id: n for n in model.nodes}
-        self._roles = {
-            n.id: _NODE_ROLES.get(normalize_label(n.label), "generic")
-            for n in model.nodes
-        }
+        self._roles = {n.id: _label_role(n.label) for n in model.nodes}
         self._edges_true: dict[str, str] = {}
         self._edges_false: dict[str, str] = {}
         self._edge_plain: dict[str, str] = {}

@@ -519,9 +519,3 @@ def node_successors(m: ProcessModel, node_id: str, guard_value: bool | None = No
         raise ValueError(f"{node_id!r} is not a decision; no polarity applies")
     return [e.dst for e in m.out_edges(node_id)]
 
-
-def reachable_nodes(m: ProcessModel) -> set[str]:
-    edges_by_src: dict[str, list[Edge]] = {}
-    for e in m.edges:
-        edges_by_src.setdefault(e.src, []).append(e)
-    return _forward_reachable(edges_by_src, m.initial)

@@ -21,7 +21,6 @@ from .executive import (
     SNAP_COMPLIANCE,
     SNAP_FAULT,
     SNAP_INTERRUPTION,
-    SNAP_LAST_ASSENT,
     SNAP_POSTURE_VALID,
     SNAP_REVALIDATION,
     SNAP_STABLE_SINCE,

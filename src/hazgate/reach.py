@@ -8,12 +8,19 @@ window, and the confirmation staleness window is stretched beyond reach, so
 the window-elapsed/freshness booleans in the abstract state key are exact
 functions of the event history.
 
+Each transition handles its event on ``ExecState.branch()``, a slot-wise
+copy of the parent state with its own containers, ledger and an empty log,
+so the parent stays intact for its other successors.
+
 The unsafe predicate is evaluated independently of the executive's gates:
 an exposure firing counts as unsafe when any interlock condition, recomputed
 from the raw pre-event state, did not hold.  Every newly discovered state is
 optionally cross-checked by replaying its witness path through the plain
 scenario runner and comparing both the resulting abstract state and the
 exposure-interlock monitor verdict against the search's own classification.
+Each witness is replayed from the initial state through a freshly built
+executive, sharing no prefix and no search state, precisely so that a
+faulty branch copy shows up as a disagreement.
 """
 
 from __future__ import annotations
@@ -21,12 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .executive import (
-    ConfirmationLedger,
     Event,
     ExecConfig,
     ExecState,
     SafetyExecutive,
-    SessionLog,
 )
 from .model import ProcessModel
 from .monitors import VIOLATED, monitor_r24
@@ -85,29 +90,15 @@ def stimuli_for(alphabet) -> list[tuple[str, dict]]:
     return out
 
 
-def _clone_state(state: ExecState) -> ExecState:
-    dup = ExecState.__new__(ExecState)
-    for slot in ExecState.__slots__:
-        setattr(dup, slot, getattr(state, slot))
-    dup.views_acquired = set(state.views_acquired)
-    dup.retake_count = dict(state.retake_count)
-    dup.generic_decisions = dict(state.generic_decisions)
-    dup.ledger = state.ledger.copy()
-    dup.log = SessionLog()  # branches keep only their own step's entries
-    return dup
-
-
 def abstract_key(state: ExecState, config: ExecConfig) -> tuple:
     now = state.clock
-    ledger_bits = tuple(
-        (action, source) in {
-            (a, s)
-            for a, received in state.ledger.received.items()
-            for s in received
-        }
-        for action in sorted(state.ledger.required)
-        for source in state.ledger.required[action]
-    )
+    required = state.ledger.required
+    received = state.ledger.received
+    ledger_bits = tuple([
+        source in received.get(action, ())
+        for action in sorted(required)
+        for source in required[action]
+    ])
     stab = (
         state.posture_stable_since is not None
         and now - state.posture_stable_since >= config.stabilization_window_ms
@@ -211,6 +202,8 @@ def brute_force_reachability(
     stop_at_first: bool = True,
     cross_check: bool = True,
 ) -> ReachabilityResult:
+    if max_depth < 0:
+        raise ValueError(f"reach depth must be >= 0, got {max_depth}")
     reach_config = replace(config, confirmation_staleness_ms=REACH_STALENESS_MS)
     executive = SafetyExecutive(model, reach_config, enabled=executive_enabled)
     stimuli = stimuli_for(alphabet)
@@ -238,15 +231,16 @@ def brute_force_reachability(
                     reach_config.stabilization_window_ms if kind == "tick" else 0
                 )
                 event = Event(clock, _KIND_SOURCE[kind], kind, dict(payload))
-                branch = _clone_state(state)
-                pre_failed = _exposure_conditions_ok(state, clock, reach_config)
+                branch = state.branch()
                 step = executive.handle_event(branch, event)
                 result.transitions += 1
 
                 fired = "fire-exposure" in step.emitted or any(
                     e.kind == "exposure" and e.details == "granted" for e in branch.log
                 )
-                unsafe = fired and bool(pre_failed)
+                # the branch is a copy, so `state` is still the pre-event state
+                pre_failed = _exposure_conditions_ok(state, clock, reach_config) if fired else []
+                unsafe = bool(pre_failed)
                 if unsafe and not result.unsafe_reachable:
                     result.unsafe_reachable = True
                     result.counterexample = path + [event]
@@ -268,8 +262,9 @@ def brute_force_reachability(
                     result.complete = False
                     break
                 visited.add(key)
-                next_frontier.append((branch, path + [event], path_unsafe or unsafe))
-                witnesses.append((path + [event], key, path_unsafe or unsafe))
+                new_path = path + [event]
+                next_frontier.append((branch, new_path, path_unsafe or unsafe))
+                witnesses.append((new_path, key, path_unsafe or unsafe))
             else:
                 continue
             break

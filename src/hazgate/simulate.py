@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .executive import ExecConfig, SafetyExecutive, init_executive
+from .executive import ExecConfig, init_executive
 from .model import ProcessModel
 from .monitors import VIOLATED, MonitorVerdict, evaluate_monitors
 from .scenarios import (

@@ -108,3 +108,10 @@ class TestReachCommand:
         assert main(["reach", MODEL, CONFIG, "--depth", "4", "--no-executive",
                      "--no-cross-check"]) == 1
         assert "counterexample" in capsys.readouterr().out
+
+    def test_negative_depth_exits_two(self, capsys):
+        assert main(["reach", MODEL, CONFIG, "--depth", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "complete" not in captured.out
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "depth" in captured.err

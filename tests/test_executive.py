@@ -4,9 +4,11 @@ import pytest
 
 from hazgate.datafiles import data_path
 from hazgate.executive import (
+    _NODE_ROLES,
     EXPOSURE_CONDITIONS,
     MOTION_CONDITIONS,
     ExecConfig,
+    ExecState,
     Event,
     SafetyExecutive,
     TimestampRegression,
@@ -15,7 +17,7 @@ from hazgate.executive import (
     init_executive,
     stabilization_elapsed,
 )
-from hazgate.model import load_model, parse_model
+from hazgate.model import load_model, normalize_label, parse_model
 from hazgate.scenarios import nominal_timeline
 
 MINIMAL = """\
@@ -67,6 +69,73 @@ class TestInit:
     def test_minimal_model(self, config):
         _, state = init_executive(parse_model(MINIMAL), config)
         assert state.current_node == "work"
+
+
+class TestConstruction:
+    def test_tables_match_direct_recomputation(self, mammobot, config):
+        roles = {n.id: _NODE_ROLES.get(normalize_label(n.label), "generic")
+                 for n in mammobot.nodes}
+        by_polarity = {
+            value: {e.src: e.dst for e in mammobot.edges if e.guard_value is value}
+            for value in (True, False, None)
+        }
+        for executive in (SafetyExecutive(mammobot, config),
+                          SafetyExecutive(mammobot, config, enabled=False)):
+            assert executive._roles == roles
+            assert executive._role_nodes == {
+                role: nid for nid, role in roles.items() if role != "generic"}
+            assert executive._edges_true == by_polarity[True]
+            assert executive._edges_false == by_polarity[False]
+            assert executive._edge_plain == by_polarity[None]
+
+
+class TestBranch:
+    @pytest.fixture
+    def mid_session(self, mammobot, config):
+        executive, state = fresh(mammobot, config)
+        events = nominal_timeline(config, retakes={"CC": 1})
+        run_prefix(executive, state, events, events[len(events) * 2 // 3].timestamp)
+        state.generic_decisions["someGuard"] = True
+        assert state.views_acquired and state.retake_count and len(state.log)
+        assert any(state.ledger.received.values())
+        return state
+
+    def test_every_slot_copied_and_log_empty(self, mid_session):
+        branch = mid_session.branch()
+        for slot in ExecState.__slots__:
+            if slot == "log":
+                continue
+            value = getattr(branch, slot)  # AttributeError if never set
+            if slot == "ledger":
+                assert value is not mid_session.ledger
+                assert value.received == mid_session.ledger.received
+                assert value.required == mid_session.ledger.required
+                assert value.staleness_ms == mid_session.ledger.staleness_ms
+            else:
+                assert value == getattr(mid_session, slot), slot
+        assert len(branch.log) == 0
+        assert branch.snapshot() == mid_session.snapshot()
+
+    def test_mutating_branch_leaves_original(self, mid_session):
+        views = set(mid_session.views_acquired)
+        retakes = dict(mid_session.retake_count)
+        decisions = dict(mid_session.generic_decisions)
+        received = {k: dict(v) for k, v in mid_session.ledger.received.items()}
+        log_length = len(mid_session.log)
+
+        branch = mid_session.branch()
+        branch.views_acquired.add("XX")
+        branch.retake_count["XX"] = 9
+        branch.generic_decisions["other"] = False
+        branch.ledger.record("exposure", "Patient", 10**9)
+        branch.ledger.consume("motionStart")
+        branch.log.append(10**9, "note", "System", "branch only")
+
+        assert mid_session.views_acquired == views
+        assert mid_session.retake_count == retakes
+        assert mid_session.generic_decisions == decisions
+        assert mid_session.ledger.received == received
+        assert len(mid_session.log) == log_length
 
 
 class TestNominalSession:

@@ -11,7 +11,7 @@ from hazgate.monitors import (
     evaluate_monitors,
 )
 from hazgate.scenarios import nominal_timeline
-from hazgate.simulate import run_events
+from hazgate.simulate import TraceStep, run_events
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +155,27 @@ class TestSafePostureMonitor:
                           key=lambda e: e.timestamp)
         protected = run_events(mammobot, config, timeline, enabled=True)
         assert verdict_map(protected, config)["R20"].status != VIOLATED
+
+
+class TestEmergencyRelease:
+    """R20 skips a release only while a fault, abandonment or stop is pending."""
+
+    def test_fault_cleared_then_resumed_release_is_checked(self, mammobot, config):
+        events = [
+            Event(100, "Sensor", "fault"),
+            Event(200, "System", "faultCleared"),
+            Event(300, "Radiographer", "commandConfirm", {"action": "resume"}),
+            Event(300, "Patient", "commandConfirm", {"action": "resume"}),
+            Event(400, "Radiographer", "resumeRequest"),
+        ]
+        trace = run_events(mammobot, config, events, enabled=True)
+        assert any(e.kind == "resume" for e in trace.log)
+        # hand-built release at t=500 with no Radiographer confirmation
+        release = Event(500, "Patient", "commandConfirm", {"action": "release"})
+        snapshot = (500,) + trace.steps[-1].snapshot[1:]
+        trace.steps.append(TraceStep(release, snapshot, ("enter-compliance",), ()))
+        trace.log.append(LogEntry(500, "release", "System", "compliant safe posture"))
+        assert verdict_map(trace, config)["R20"].status == VIOLATED
 
 
 class TestLogMonitors:

@@ -34,6 +34,10 @@ class TestDepthZero:
         assert result.states_explored == 1
         assert result.transitions == 0
 
+    def test_negative_depth_rejected(self, mammobot, config):
+        with pytest.raises(ValueError, match="depth"):
+            brute_force_reachability(mammobot, config, max_depth=-1)
+
 
 class TestUnprotected:
     def test_unsafe_reachable_with_counterexample(self, mammobot, config):
@@ -67,6 +71,8 @@ class TestProtected:
         assert result.complete
         assert result.cross_checked == result.states_explored - 1
         assert result.cross_check_disagreements == []
+        assert (result.states_explored, result.transitions, result.cross_checked) == (
+            4383, 46245, 4382)
 
     def test_state_budget_marks_incomplete(self, mammobot, config):
         result = brute_force_reachability(
