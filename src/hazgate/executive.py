@@ -21,9 +21,10 @@ the trace monitors are evaluated against.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
+from .jsoncheck import json_field, json_int, json_names, json_object
 from .model import KIND_ACTION, KIND_FINAL, KIND_INITIAL, ProcessModel, normalize_label
 
 SOURCES = ("Radiographer", "Patient", "Sensor", "System")
@@ -115,20 +116,20 @@ class ExecConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExecConfig":
-        ledger = {
-            action: tuple(sources)
-            for action, sources in data.get("ledger", cls().ledger_requirements).items()
-        }
-        base = cls()
+        json_object(data, "config")
+        views = json_names(data.get("required_views", cls.required_views),
+                           "config required_views")
+        if not views:
+            raise ValueError("config required_views must name at least one view")
         return cls(
-            stop_latency_budget_ms=data.get("stop_latency_budget_ms", base.stop_latency_budget_ms),
-            stabilization_window_ms=data.get("stabilization_window_ms", base.stabilization_window_ms),
-            confirmation_staleness_ms=data.get("confirmation_staleness_ms", base.confirmation_staleness_ms),
-            command_response_budget_ms=data.get("command_response_budget_ms", base.command_response_budget_ms),
-            max_retakes_per_view=data.get("max_retakes_per_view", base.max_retakes_per_view),
-            step_cap=data.get("step_cap", base.step_cap),
-            required_views=tuple(data.get("required_views", base.required_views)),
-            ledger_requirements=ledger,
+            **{f.name: json_int(data.get(f.name, f.default), f"config {f.name}")
+               for f in fields(cls) if f.type == "int"},  # annotations are strings here
+            required_views=views,
+            ledger_requirements={
+                action: json_names(sources, f"config ledger {action!r}", SOURCES)
+                for action, sources in json_object(
+                    data.get("ledger", cls().ledger_requirements), "config ledger").items()
+            },
         )
 
     @classmethod
@@ -179,7 +180,13 @@ class Event:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Event":
-        return cls(data["t"], data["source"], data["kind"], data.get("payload") or {})
+        # __init__ rejects an unknown source or kind
+        return cls(
+            json_int(json_field(data, "t", "event"), "event t"),
+            json_field(data, "source", "event"),
+            json_field(data, "kind", "event"),
+            json_object(data.get("payload") or {}, "event payload"),
+        )
 
 
 class ConfirmationLedger:
@@ -305,7 +312,7 @@ class ExecState:
         "current_node", "clock",
         # condition flags
         "system_ready", "posture_valid", "trajectory_valid", "arm_moving",
-        "exposure_locked", "interruption_active", "fault_active",
+        "interruption_active", "fault_active",
         "revalidation_required", "compliance_mode",
         # timers / session data
         "posture_stable_since", "patient_last_assent", "patient_not_ok",
@@ -326,7 +333,6 @@ class ExecState:
         self.posture_valid = False
         self.trajectory_valid = False
         self.arm_moving = False
-        self.exposure_locked = True
         self.interruption_active = False
         self.fault_active = False
         self.revalidation_required = False
@@ -374,7 +380,6 @@ class ExecState:
         dup.posture_valid = self.posture_valid
         dup.trajectory_valid = self.trajectory_valid
         dup.arm_moving = self.arm_moving
-        dup.exposure_locked = self.exposure_locked
         dup.interruption_active = self.interruption_active
         dup.fault_active = self.fault_active
         dup.revalidation_required = self.revalidation_required
@@ -401,6 +406,11 @@ class ExecState:
         dup.log = SessionLog()
         dup.step_count = self.step_count
         return dup
+
+    @property
+    def exposure_locked(self) -> bool:
+        """Derived, not stored: locked whenever no exposure is in progress."""
+        return not self.exposure_in_progress
 
     def snapshot(self) -> tuple:
         """Cheap immutable view of everything the trace monitors evaluate."""
@@ -553,7 +563,6 @@ class SafetyExecutive:
     def _abort_exposure(self, state: ExecState, emitted: list[str]) -> None:
         if state.exposure_in_progress:
             state.exposure_in_progress = False
-            state.exposure_locked = True
             emitted.append("abort-exposure")
             state.log.append(state.clock, "exposure", "System", "aborted")
 
@@ -636,7 +645,6 @@ class SafetyExecutive:
                 state.log.append(state.clock, "refusal", "System",
                                  "exposure: " + ",".join(failed))
                 return
-        state.exposure_locked = False
         state.exposure_in_progress = True
         state.ledger.consume("exposure")
         emitted.append("fire-exposure")
@@ -849,7 +857,6 @@ class SafetyExecutive:
             state.log.append(state.clock, "exposure", "System", "granted")
         retake = bool(event.payload.get("retake", False))
         state.exposure_in_progress = False
-        state.exposure_locked = True
         state.retake_result = retake
         view = state.current_view or self._next_view(state)
         if retake:

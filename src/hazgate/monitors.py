@@ -8,10 +8,21 @@ into the trace) or NotApplicable when the trace never exercises it.
 
 The same monitors run against protected (executive-enabled) and unprotected
 traces, which is what makes the hazard-injection comparisons meaningful.
+
+Facts that several monitors read are derived once per trace by a
+:class:`TraceFacts`, each on first use: the grants (R1, R15, R16, R20, R24),
+the grant classification of each log entry (R21, R23, R25) and one replay of
+the confirmation ledger, which yields R20's missing sources and the
+interlock failures at each exposure (R16, R24).  ``evaluate_monitors``
+builds one per trace and hands it to every monitor as a third argument.
+Each monitor still runs alone as ``monitor_rX(trace, config)`` and then
+builds its own, deriving only the facts it reads.  Nothing is cached on the
+trace, so a trace extended after a run is judged as it stands.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .executive import (
@@ -60,6 +71,14 @@ def _verdict(requirement, violations, applicable, none_msg="no applicable activi
 # it is identified by the log record the engine writes in both modes.
 
 
+_MARKER_GRANT = {
+    "start-motion": "motion",
+    "fire-exposure": "exposure",
+    "enter-compliance": "release",
+    "plan-accepted": "plan",
+}
+
+
 def _grants(trace):
     """(step_index, t, kind) for motion starts, exposure firings, releases,
     plan acceptances.  Uses each step's emitted markers plus the disabled-mode
@@ -67,17 +86,12 @@ def _grants(trace):
     out = []
     for i, step in enumerate(trace.steps):
         for marker in step.emitted:
-            if marker == "start-motion":
-                out.append((i, step.snapshot[SNAP_CLOCK], "motion"))
-            elif marker == "fire-exposure":
-                out.append((i, step.snapshot[SNAP_CLOCK], "exposure"))
-            elif marker == "enter-compliance":
-                out.append((i, step.snapshot[SNAP_CLOCK], "release"))
-            elif marker == "plan-accepted":
-                out.append((i, step.snapshot[SNAP_CLOCK], "plan"))
+            kind = _MARKER_GRANT.get(marker)
+            if kind is not None:
+                out.append((i, step.snapshot[SNAP_CLOCK], kind))
         if step.event is not None and step.event.kind == "exposureComplete":
             # unprotected runs treat an orphan completion as a firing
-            if not any(m == "fire-exposure" for m in step.emitted) and _orphan_exposure(trace, i):
+            if "fire-exposure" not in step.emitted and _orphan_exposure(trace, i):
                 out.append((i, step.snapshot[SNAP_CLOCK], "exposure"))
     return out
 
@@ -89,6 +103,9 @@ def _orphan_exposure(trace, index) -> bool:
     return not in_progress and step.snapshot[SNAP_CLOCK] is not None and not trace.executive_enabled
 
 
+_LEDGER_EVENT_KINDS = frozenset(("commandConfirm", "assent", "assentWithdrawn"))
+
+
 class _ConfirmationReplay:
     """Monitor-side reconstruction of the confirmation ledger from raw events."""
 
@@ -98,8 +115,7 @@ class _ConfirmationReplay:
         self.received: dict[str, dict[str, int]] = {k: {} for k in self.required}
 
     def feed(self, event) -> None:
-        if event is None:
-            return
+        """Apply one event whose kind is in ``_LEDGER_EVENT_KINDS``."""
         if event.kind == "commandConfirm":
             action = event.payload.get("action")
             if action in self.required and event.source in self.required[action]:
@@ -127,10 +143,113 @@ class _ConfirmationReplay:
 _GRANT_LEDGER_ACTION = {"motion": "motionStart", "exposure": "exposure", "release": "release"}
 
 
-def monitor_r1(trace, config: ExecConfig) -> MonitorVerdict:
+def exposure_condition_failures(posture_valid, stable_since, arm_moving, patient_t,
+                                radiographer_t, fault, interruption, revalidation,
+                                now: int, config: ExecConfig) -> list[str]:
+    """The eight-condition exposure interlock, re-derived from plain values.
+
+    ``patient_t`` and ``radiographer_t`` are the times of the exposure
+    ledger's Patient and Radiographer confirmations (None if absent).
+    Returns the failed conditions in interlock order.
+    """
+    failed = []
+    if not posture_valid:
+        failed.append("postureValid")
+    if stable_since is None or now - stable_since < config.stabilization_window_ms:
+        failed.append("stabilizationElapsed")
+    if arm_moving:
+        failed.append("armImmobility")
+    if patient_t is None or now - patient_t > config.confirmation_staleness_ms:
+        failed.append("patientAssentFresh")
+    if radiographer_t is None or now - radiographer_t > config.confirmation_staleness_ms:
+        failed.append("radiographerConfirmFresh")
+    if fault:
+        failed.append("noFault")
+    if interruption:
+        failed.append("noInterruption")
+    if revalidation:
+        failed.append("noRevalidationPending")
+    return failed
+
+
+def _replay_ledger(trace, config: ExecConfig, grants) -> tuple[list, list]:
+    """One confirmation-ledger replay over the trace's grants.
+
+    Returns R20's checks ``(step, t, action, missing sources)`` and the
+    interlock failures at each exposure ``(step, t, failed conditions)``.
+    A release in emergency context is left to the safe-posture monitor and
+    does not consume the ledger; the interlock reads only the exposure
+    entry, so that choice cannot change an exposure's failures.  Events
+    after the last ledger grant cannot change a check and are not fed.
+    """
+    by_step = {i: (t, k) for i, t, k in grants}  # the last grant of a step wins
+    ledger_grants = [(i, t, _GRANT_LEDGER_ACTION[k]) for i, (t, k) in by_step.items()
+                     if k in _GRANT_LEDGER_ACTION]
+    replay = _ConfirmationReplay(config)
+    steps = trace.steps
+    fed = 0
+    checks = []
+    exposures = []
+    for i, t, action in ledger_grants:
+        for step in steps[fed:i + 1]:
+            event = step.event
+            if event is not None and event.kind in _LEDGER_EVENT_KINDS:
+                replay.feed(event)
+        fed = i + 1
+        if action == "exposure":
+            snap = steps[i].snapshot
+            received = replay.received.get("exposure", {})
+            exposures.append((i, t, exposure_condition_failures(
+                snap[SNAP_POSTURE_VALID], snap[SNAP_STABLE_SINCE], snap[SNAP_ARM_MOVING],
+                received.get("Patient"), received.get("Radiographer"),
+                snap[SNAP_FAULT], snap[SNAP_INTERRUPTION], snap[SNAP_REVALIDATION],
+                t, config,
+            )))
+        elif action == "release" and _emergency_context(trace, t):
+            continue
+        checks.append((i, t, action, replay.missing(action, t)))
+        replay.consume(action)
+    return checks, exposures
+
+
+class TraceFacts:
+    """Facts several monitors read from one trace, each derived on first use."""
+
+    __slots__ = ("trace", "config", "_grants", "_log_grants", "_ledger")
+
+    def __init__(self, trace, config: ExecConfig):
+        self.trace = trace
+        self.config = config
+        self._grants = self._log_grants = self._ledger = None
+
+    @property
+    def grants(self) -> list:
+        """``_grants`` of the trace."""
+        if self._grants is None:
+            self._grants = _grants(self.trace)
+        return self._grants
+
+    @property
+    def log_grants(self) -> list:
+        """The grant kind of each log entry (None if not a grant), in log order."""
+        if self._log_grants is None:
+            self._log_grants = [_GRANT_ENTRY.get((e.kind, e.details)) for e in self.trace.log]
+        return self._log_grants
+
+    @property
+    def ledger(self) -> tuple[list, list]:
+        """R20's confirmation checks and the interlock failures at each
+        exposure, from one ledger replay (see ``_replay_ledger``)."""
+        if self._ledger is None:
+            self._ledger = _replay_ledger(self.trace, self.config, self.grants)
+        return self._ledger
+
+
+def monitor_r1(trace, config: ExecConfig, facts: TraceFacts | None = None) -> MonitorVerdict:
     """Command response within budget once gates pass (grants are immediate)."""
+    facts = facts or TraceFacts(trace, config)
     violations = []
-    grants = [g for g in _grants(trace) if g[2] in ("motion", "exposure", "release")]
+    grants = [g for g in facts.grants if g[2] in ("motion", "exposure", "release")]
     for index, t, kind in grants:
         event = trace.steps[index].event
         if event is None:
@@ -141,20 +260,21 @@ def monitor_r1(trace, config: ExecConfig) -> MonitorVerdict:
     return _verdict("R1", violations, grants)
 
 
-def monitor_r8(trace, config: ExecConfig) -> MonitorVerdict:
-    """Log completeness: auditable events appear in the log exactly once."""
-    from collections import Counter
+_LOGGED_FAMILIES = frozenset(LOGGABLE_EVENT_FAMILY.values())
 
-    expected = Counter()
-    for step in trace.steps:
-        if step.event is not None and step.event.kind in LOGGABLE_EVENT_FAMILY:
-            expected[LOGGABLE_EVENT_FAMILY[step.event.kind]] += 1
-    actual = Counter(e.kind for e in trace.log if e.kind in set(LOGGABLE_EVENT_FAMILY.values()))
+
+def monitor_r8(trace, config: ExecConfig, facts: TraceFacts | None = None) -> MonitorVerdict:
+    """Log completeness: auditable events appear in the log exactly once."""
+    expected = Counter(
+        LOGGABLE_EVENT_FAMILY[step.event.kind] for step in trace.steps
+        if step.event is not None and step.event.kind in LOGGABLE_EVENT_FAMILY
+    )
+    actual = Counter(e.kind for e in trace.log if e.kind in _LOGGED_FAMILIES)
     violations = []
     if expected != actual:
-        delta = {k: (expected.get(k, 0), actual.get(k, 0))
-                 for k in set(expected) | set(actual)
-                 if expected.get(k, 0) != actual.get(k, 0)}
+        delta = {k: (expected[k], actual[k])
+                 for k in sorted(expected.keys() | actual.keys())
+                 if expected[k] != actual[k]}
         violations.append((0, f"event/log multiset mismatch {delta}"))
     times = [e.t for e in trace.log]
     if times != sorted(times):
@@ -162,7 +282,7 @@ def monitor_r8(trace, config: ExecConfig) -> MonitorVerdict:
     return _verdict("R8", violations, list(trace.steps))
 
 
-def monitor_r14(trace, config: ExecConfig) -> MonitorVerdict:
+def monitor_r14(trace, config: ExecConfig, facts: TraceFacts | None = None) -> MonitorVerdict:
     """Stop requests halt motion within budget; no motion until resume."""
     stop_steps = [
         (i, s.event.timestamp)
@@ -195,10 +315,11 @@ def monitor_r14(trace, config: ExecConfig) -> MonitorVerdict:
     return _verdict("R14", violations, stop_steps, "no stop requests in trace")
 
 
-def monitor_r15(trace, config: ExecConfig) -> MonitorVerdict:
+def monitor_r15(trace, config: ExecConfig, facts: TraceFacts | None = None) -> MonitorVerdict:
     """Motion only with validated posture and trajectory."""
+    facts = facts or TraceFacts(trace, config)
     violations = []
-    grants = [g for g in _grants(trace) if g[2] == "motion"]
+    grants = [g for g in facts.grants if g[2] == "motion"]
     for index, t, _ in grants:
         snap = trace.steps[index].snapshot
         missing = []
@@ -211,67 +332,30 @@ def monitor_r15(trace, config: ExecConfig) -> MonitorVerdict:
     return _verdict("R15", violations, grants, "no motion in trace")
 
 
-def _exposure_condition_failures(trace, index, t, replay, config):
-    snap = trace.steps[index].snapshot
-    failed = []
-    if not snap[SNAP_POSTURE_VALID]:
-        failed.append("postureValid")
-    since = snap[SNAP_STABLE_SINCE]
-    if since is None or t - since < config.stabilization_window_ms:
-        failed.append("stabilizationElapsed")
-    if snap[SNAP_ARM_MOVING]:
-        failed.append("armImmobility")
-    if not replay.fresh("exposure", "Patient", t):
-        failed.append("patientAssentFresh")
-    if not replay.fresh("exposure", "Radiographer", t):
-        failed.append("radiographerConfirmFresh")
-    if snap[SNAP_FAULT]:
-        failed.append("noFault")
-    if snap[SNAP_INTERRUPTION]:
-        failed.append("noInterruption")
-    if snap[SNAP_REVALIDATION]:
-        failed.append("noRevalidationPending")
-    return failed
-
-
-def _exposure_monitor(trace, config, requirement, conditions):
-    replay = _ConfirmationReplay(config)
-    grants = {i: (t, k) for i, t, k in _grants(trace)}
+def _exposure_monitor(facts, requirement, conditions):
     exposures = []
     violations = []
-    for i, step in enumerate(trace.steps):
-        replay.feed(step.event)
-        grant = grants.get(i)
-        if grant is None:
-            continue
-        t, kind = grant
-        if kind != "exposure":
-            if kind in _GRANT_LEDGER_ACTION:
-                replay.consume(_GRANT_LEDGER_ACTION[kind])
-            continue
+    _, exposure_checks = facts.ledger
+    for i, t, failures in exposure_checks:
         exposures.append(i)
-        failed = [
-            c for c in _exposure_condition_failures(trace, i, t, replay, config)
-            if c in conditions
-        ]
-        replay.consume("exposure")
+        failed = [c for c in failures if c in conditions]
         if failed:
             violations.append((i, f"exposure at {t} with failed {','.join(failed)}"))
     return _verdict(requirement, violations, exposures, "no exposures in trace")
 
 
-def monitor_r24(trace, config: ExecConfig) -> MonitorVerdict:
+def monitor_r24(trace, config: ExecConfig, facts: TraceFacts | None = None) -> MonitorVerdict:
     """Full eight-condition exposure interlock at every firing."""
-    return _exposure_monitor(trace, config, "R24", (
+    return _exposure_monitor(facts or TraceFacts(trace, config), "R24", (
         "postureValid", "stabilizationElapsed", "armImmobility",
         "patientAssentFresh", "radiographerConfirmFresh",
         "noFault", "noInterruption", "noRevalidationPending",
     ))
 
 
-def monitor_r16(trace, config: ExecConfig) -> MonitorVerdict:
+def monitor_r16(trace, config: ExecConfig, facts: TraceFacts | None = None) -> MonitorVerdict:
     """Posture stability, arm immobility and patient readiness at exposure."""
-    return _exposure_monitor(trace, config, "R16", (
+    return _exposure_monitor(facts or TraceFacts(trace, config), "R16", (
         "postureValid", "stabilizationElapsed", "armImmobility", "patientAssentFresh",
     ))
 
@@ -300,64 +384,45 @@ def _emergency_context(trace, t) -> bool:
     return False
 
 
-def monitor_r20(trace, config: ExecConfig) -> MonitorVerdict:
+def monitor_r20(trace, config: ExecConfig, facts: TraceFacts | None = None) -> MonitorVerdict:
     """Multi-source confirmation before motion, exposure and release.
 
     Releases taken in emergency context (pending fault, abandonment or
     unresumed stop) are the safe-posture transition and are checked by the
     safe-posture monitor instead.
     """
-    replay = _ConfirmationReplay(config)
-    grants = {i: (t, k) for i, t, k in _grants(trace)}
+    facts = facts or TraceFacts(trace, config)
     checked = []
     violations = []
-    for i, step in enumerate(trace.steps):
-        replay.feed(step.event)
-        grant = grants.get(i)
-        if grant is None:
-            continue
-        t, kind = grant
-        action = _GRANT_LEDGER_ACTION.get(kind)
-        if action is None:
-            continue
-        if action == "release" and _emergency_context(trace, t):
-            continue
+    confirmation_checks, _ = facts.ledger
+    for i, t, action, missing in confirmation_checks:
         checked.append(i)
-        missing = replay.missing(action, t)
-        replay.consume(action)
         if missing:
             violations.append((i, f"{action} at {t} without fresh {','.join(missing)}"))
     return _verdict("R20", violations, checked, "no safety-critical grants")
 
 
-def _is_stability_reference(entry) -> bool:
-    return (
-        entry.kind in ("postureChange", "interruption", "fault")
-        or (entry.kind == "motion" and entry.details == "complete")
-    )
+# grant kind of a log entry, by (kind, details)
+_GRANT_ENTRY = {
+    ("plan", "accepted"): "plan",
+    ("exposure", "granted"): "exposure",
+    ("motion", "started"): "motion",
+}
+
+_STABILITY_REFERENCE_KINDS = frozenset(("postureChange", "interruption", "fault"))
 
 
-def _is_grant_entry(entry) -> str | None:
-    if entry.kind == "plan" and entry.details == "accepted":
-        return "plan"
-    if entry.kind == "exposure" and entry.details == "granted":
-        return "exposure"
-    if entry.kind == "motion" and entry.details == "started":
-        return "motion"
-    return None
-
-
-def monitor_r21(trace, config: ExecConfig) -> MonitorVerdict:
+def monitor_r21(trace, config: ExecConfig, facts: TraceFacts | None = None) -> MonitorVerdict:
     """Stabilization window before plan acceptance and exposure.
 
     Walks the append-only log in processing order, so same-millisecond
     references that actually followed a grant do not mask it.
     """
+    facts = facts or TraceFacts(trace, config)
     violations = []
     checked = []
     last_ref = None
-    for i, entry in enumerate(trace.log):
-        grant = _is_grant_entry(entry)
+    for i, (entry, grant) in enumerate(zip(trace.log, facts.log_grants)):
         if grant in ("plan", "exposure"):
             checked.append(i)
             if last_ref is None:
@@ -366,18 +431,20 @@ def monitor_r21(trace, config: ExecConfig) -> MonitorVerdict:
                 violations.append(
                     (i, f"{grant} at {entry.t} only {entry.t - last_ref} ms after last posture reference")
                 )
-        if _is_stability_reference(entry):
+        if entry.kind in _STABILITY_REFERENCE_KINDS or (
+            entry.kind == "motion" and entry.details == "complete"
+        ):
             last_ref = entry.t
     return _verdict("R21", violations, checked, "no plan/exposure grants")
 
 
-def monitor_r23(trace, config: ExecConfig) -> MonitorVerdict:
+def monitor_r23(trace, config: ExecConfig, facts: TraceFacts | None = None) -> MonitorVerdict:
     """Revalidation between any interruption/fault/movement and the next grant."""
+    facts = facts or TraceFacts(trace, config)
     violations = []
     pending_trigger = None
     saw_trigger = False
-    for i, entry in enumerate(trace.log):
-        grant = _is_grant_entry(entry)
+    for i, (entry, grant) in enumerate(zip(trace.log, facts.log_grants)):
         if grant in ("motion", "exposure") and pending_trigger is not None:
             violations.append(
                 (i, f"{grant} at {entry.t} after trigger at {pending_trigger} without revalidation")
@@ -394,7 +461,7 @@ def monitor_r23(trace, config: ExecConfig) -> MonitorVerdict:
     return _verdict("R23", violations, [0])
 
 
-def monitor_r25(trace, config: ExecConfig) -> MonitorVerdict:
+def monitor_r25(trace, config: ExecConfig, facts: TraceFacts | None = None) -> MonitorVerdict:
     """Safe low-rigidity posture upon fault/interruption/abandonment.
 
     After such a trigger the system must reach the compliant safe posture
@@ -402,10 +469,11 @@ def monitor_r25(trace, config: ExecConfig) -> MonitorVerdict:
     clears a recoverable stop or fault instead.  A session may not end with
     a trigger still pending and no safe posture reached.
     """
+    facts = facts or TraceFacts(trace, config)
     violations = []
     pending = None  # (t, kind) of the unresolved emergency trigger
     applicable = False
-    for i, entry in enumerate(trace.log):
+    for i, (entry, grant) in enumerate(zip(trace.log, facts.log_grants)):
         if entry.kind in ("abandon", "fault", "interruption"):
             pending = (entry.t, entry.kind)
             applicable = True
@@ -413,9 +481,9 @@ def monitor_r25(trace, config: ExecConfig) -> MonitorVerdict:
             pending = None
         elif entry.kind == "release":
             pending = None
-        elif pending is not None and _is_grant_entry(entry) in ("motion", "exposure"):
+        elif pending is not None and grant in ("motion", "exposure"):
             violations.append(
-                (i, f"{_is_grant_entry(entry)} at {entry.t} after {pending[1]} at "
+                (i, f"{grant} at {entry.t} after {pending[1]} at "
                     f"{pending[0]} without safe-posture transition")
             )
             pending = None  # report each continued operation once
@@ -431,7 +499,7 @@ def monitor_r25(trace, config: ExecConfig) -> MonitorVerdict:
     return _verdict("R25", violations, [0])
 
 
-def monitor_r26(trace, config: ExecConfig) -> MonitorVerdict:
+def monitor_r26(trace, config: ExecConfig, facts: TraceFacts | None = None) -> MonitorVerdict:
     """Every stage transition names the responsible actor."""
     transitions = [e for e in trace.log if e.kind == "stageTransition"]
     violations = [
@@ -459,4 +527,5 @@ MONITORS = {
 
 def evaluate_monitors(trace, config: ExecConfig, requirements=None) -> list[MonitorVerdict]:
     selected = MONITORED_REQUIREMENTS if requirements is None else requirements
-    return [MONITORS[r](trace, config) for r in selected if r in MONITORS]
+    facts = TraceFacts(trace, config)
+    return [MONITORS[r](trace, config, facts) for r in selected if r in MONITORS]

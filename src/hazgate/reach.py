@@ -13,11 +13,13 @@ copy of the parent state with its own containers, ledger and an empty log,
 so the parent stays intact for its other successors.
 
 The unsafe predicate is evaluated independently of the executive's gates:
-an exposure firing counts as unsafe when any interlock condition, recomputed
-from the raw pre-event state, did not hold.  Every newly discovered state is
-optionally cross-checked by replaying its witness path through the plain
-scenario runner and comparing both the resulting abstract state and the
-exposure-interlock monitor verdict against the search's own classification.
+an exposure firing counts as unsafe when any interlock condition did not
+hold, as recomputed from the raw pre-event state by the monitors' interlock
+predicate, ``monitors.exposure_condition_failures``.  Every newly discovered
+state is optionally cross-checked by replaying its witness path through the
+plain scenario runner and comparing both the resulting abstract state and
+the exposure-interlock monitor verdict against the search's own
+classification.
 Each witness is replayed from the initial state through a freshly built
 executive, sharing no prefix and no search state, precisely so that a
 faulty branch copy shows up as a disagreement.
@@ -34,7 +36,7 @@ from .executive import (
     SafetyExecutive,
 )
 from .model import ProcessModel
-from .monitors import VIOLATED, monitor_r24
+from .monitors import VIOLATED, exposure_condition_failures, monitor_r24
 from .simulate import Trace, TraceStep
 
 REACH_STALENESS_MS = 10**9
@@ -105,8 +107,7 @@ def abstract_key(state: ExecState, config: ExecConfig) -> tuple:
     )
     return (
         state.current_node, state.system_ready, state.posture_valid,
-        state.trajectory_valid, state.arm_moving, state.exposure_locked,
-        state.exposure_in_progress, state.interruption_active,
+        state.trajectory_valid, state.arm_moving, state.exposure_in_progress, state.interruption_active,
         state.fault_active, state.awaiting_resume, state.revalidation_required,
         state.compliance_mode, stab,
         state.patient_last_assent is not None, state.patient_not_ok,
@@ -117,30 +118,6 @@ def abstract_key(state: ExecState, config: ExecConfig) -> tuple:
         tuple(sorted(state.retake_count.items())),
         ledger_bits,
     )
-
-
-def _exposure_conditions_ok(state: ExecState, now: int, config: ExecConfig) -> list[str]:
-    """Independent re-derivation of the interlock; returns failed conditions."""
-    failed = []
-    if not state.posture_valid:
-        failed.append("postureValid")
-    since = state.posture_stable_since
-    if since is None or now - since < config.stabilization_window_ms:
-        failed.append("stabilizationElapsed")
-    if state.arm_moving:
-        failed.append("armImmobility")
-    received = state.ledger.received.get("exposure", {})
-    if "Patient" not in received or now - received["Patient"] > config.confirmation_staleness_ms:
-        failed.append("patientAssentFresh")
-    if "Radiographer" not in received or now - received["Radiographer"] > config.confirmation_staleness_ms:
-        failed.append("radiographerConfirmFresh")
-    if state.fault_active:
-        failed.append("noFault")
-    if state.interruption_active:
-        failed.append("noInterruption")
-    if state.revalidation_required:
-        failed.append("noRevalidationPending")
-    return failed
 
 
 @dataclass
@@ -238,8 +215,16 @@ def brute_force_reachability(
                 fired = "fire-exposure" in step.emitted or any(
                     e.kind == "exposure" and e.details == "granted" for e in branch.log
                 )
-                # the branch is a copy, so `state` is still the pre-event state
-                pre_failed = _exposure_conditions_ok(state, clock, reach_config) if fired else []
+                pre_failed = []
+                if fired:
+                    # the branch is a copy, so `state` is still the pre-event state
+                    received = state.ledger.received.get("exposure", {})
+                    pre_failed = exposure_condition_failures(
+                        state.posture_valid, state.posture_stable_since, state.arm_moving,
+                        received.get("Patient"), received.get("Radiographer"),
+                        state.fault_active, state.interruption_active,
+                        state.revalidation_required, clock, reach_config,
+                    )
                 unsafe = bool(pre_failed)
                 if unsafe and not result.unsafe_reachable:
                     result.unsafe_reachable = True

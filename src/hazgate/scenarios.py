@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from .executive import Event, ExecConfig
+from .jsoncheck import json_field, json_int, json_list, json_object
 
 TRANSFORM_FOR_GUIDEWORD = {
     "Omission": "Drop",
@@ -30,6 +31,7 @@ MUTATIONS = ("negate", "zero", "outOfRange", "staleDuplicate")
 OUTCOME_SAFE_COMPLETION = "SafeCompletion"
 OUTCOME_BLOCKED_SAFELY = "BlockedSafely"
 OUTCOME_VIOLATION = "ViolationExpected"
+EXPECTED_OUTCOMES = (OUTCOME_SAFE_COMPLETION, OUTCOME_BLOCKED_SAFELY, OUTCOME_VIOLATION)
 
 
 class InjectionError(ValueError):
@@ -78,11 +80,12 @@ class Selector:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Selector":
-        return cls(
-            kind=data["kind"], ordinal=data.get("ordinal"),
-            t_min=data.get("t_min"), t_max=data.get("t_max"),
-            action=data.get("action"),
-        )
+        kind = json_field(data, "kind", "selector")
+        bounds = {key: data.get(key) for key in ("ordinal", "t_min", "t_max")}
+        for key, value in bounds.items():
+            if value is not None:
+                json_int(value, f"selector {key}")
+        return cls(kind=kind, **bounds, action=data.get("action"))
 
 
 @dataclass(frozen=True)
@@ -114,10 +117,10 @@ class Injection:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Injection":
         return cls(
-            target=Selector.from_json_dict(data["target"]),
-            transform=data["transform"],
-            source_ref=data["source_ref"],
-            delta_ms=data.get("delta_ms", 0),
+            target=Selector.from_json_dict(json_field(data, "target", "injection")),
+            transform=json_field(data, "transform", "injection"),
+            source_ref=json_field(data, "source_ref", "injection"),
+            delta_ms=json_int(data.get("delta_ms", 0), "injection delta_ms"),
             event=Event.from_json_dict(data["event"]) if data.get("event") else None,
             payload_field=data.get("payload_field"),
             mutation=data.get("mutation"),
@@ -221,14 +224,23 @@ class Scenario:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Scenario":
-        outcome = data.get("expected_outcome", {})
+        name = json_field(data, "name", "scenario")
+        if not isinstance(name, str) or not name:
+            raise ValueError(f"scenario name must be a non-empty string, got {name!r}")
+        outcome = json_object(data.get("expected_outcome", {}), "scenario expected_outcome")
+        kind = outcome.get("kind", OUTCOME_SAFE_COMPLETION)
+        if kind not in EXPECTED_OUTCOMES:
+            raise ValueError(f"scenario expected_outcome kind must be one of "
+                             f"{', '.join(EXPECTED_OUTCOMES)}, got {kind!r}")
         return cls(
-            name=data["name"],
-            base_timeline=[Event.from_json_dict(e) for e in data["base_timeline"]],
-            injections=[Injection.from_json_dict(i) for i in data.get("injections", [])],
-            expected_outcome=outcome.get("kind", OUTCOME_SAFE_COMPLETION),
+            name=name,
+            base_timeline=_parse_items(Event, json_field(data, "base_timeline", "scenario"),
+                                       "scenario base_timeline"),
+            injections=_parse_items(Injection, data.get("injections", []),
+                                    "scenario injections"),
+            expected_outcome=kind,
             expected_requirement=outcome.get("requirement"),
-            seed=data.get("seed", 0),
+            seed=json_int(data.get("seed", 0), "scenario seed"),
         )
 
     @classmethod
@@ -240,6 +252,17 @@ class Scenario:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_json_dict(), fh, indent=2)
             fh.write("\n")
+
+
+def _parse_items(cls, items, where: str) -> list:
+    """``cls.from_json_dict`` of each item, naming the item a failure is in."""
+    out = []
+    for i, item in enumerate(json_list(items, where)):
+        try:
+            out.append(cls.from_json_dict(item))
+        except ValueError as exc:
+            raise ValueError(f"{where}[{i}]: {exc}") from None
+    return out
 
 
 def nominal_timeline(

@@ -29,6 +29,9 @@ from .scenarios import (
 
 OUTCOME_VIOLATION_FOUND = "Violation"
 
+# what json.dumps(obj, separators=(",", ":")) builds per call, built once
+_COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
+
 
 @dataclass(frozen=True)
 class TraceStep:
@@ -71,10 +74,9 @@ class Trace:
                     for v in step.verdicts
                 ],
             }
-            lines.append(json.dumps(record, separators=(",", ":"), sort_keys=False))
-        lines.append(json.dumps(
-            {"final": {"status": self.final_status, "node": self.final_node}},
-            separators=(",", ":"),
+            lines.append(_COMPACT_JSON.encode(record))
+        lines.append(_COMPACT_JSON.encode(
+            {"final": {"status": self.final_status, "node": self.final_node}}
         ))
         return "\n".join(lines) + "\n"
 

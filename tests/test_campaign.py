@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from hazgate.campaign import SOUNDNESS_REQUIREMENTS, run_random_campaign
@@ -30,6 +32,16 @@ class TestCampaign:
         first = run_random_campaign(mammobot, config, 300, seed=99)
         second = run_random_campaign(mammobot, config, 300, seed=99)
         assert first.to_json() == second.to_json()
+
+    @pytest.mark.parametrize("enabled,digest", [
+        (True, "6d07d7b6d1da83a41d2fd12ec382da34b2a0ddac7294224720d723b99d923944"),
+        (False, "76a6458391303fac2f8f9fe4d78b4d1045425c48083452b773db993cd75ef899"),
+    ])
+    def test_report_bytes_pinned(self, mammobot, config, enabled, digest):
+        """Report bytes for n=300, seed 7, as produced before the monitor bank
+        shared its per-trace facts; a refactor of the monitors must keep them."""
+        report = run_random_campaign(mammobot, config, 300, seed=7, executive_enabled=enabled)
+        assert hashlib.sha256(report.to_json().encode("utf-8")).hexdigest() == digest
 
     def test_different_seeds_differ(self, mammobot, config):
         first = run_random_campaign(mammobot, config, 300, seed=1)

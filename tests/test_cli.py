@@ -115,3 +115,49 @@ class TestReachCommand:
         assert "complete" not in captured.out
         assert len(captured.err.strip().splitlines()) == 1
         assert "depth" in captured.err
+
+
+def _mutated(path, mutate):
+    data = json.loads(open(path, encoding="utf-8").read())
+    mutate(data)
+    return data
+
+
+class TestMalformedInputs:
+    """Malformed input exits 2 with a one-line reason, never 1 with a traceback."""
+
+    SCENARIO = str(data_path("scenarios", "uca28.json"))
+
+    @pytest.mark.parametrize("mutate,reason", [
+        (lambda d: d.pop("name"), "missing 'name'"),
+        (lambda d: d["base_timeline"][2].update(t="1000"),
+         "base_timeline[2]: event t must be a non-negative integer"),
+        (lambda d: d["base_timeline"][2].update(t=True),
+         "event t must be a non-negative integer, got True"),
+    ], ids=["no-name", "text-t", "bool-t"])
+    def test_malformed_scenario(self, tmp_path, capsys, mutate, reason):
+        bad = tmp_path / "scenario.json"
+        bad.write_text(json.dumps(_mutated(self.SCENARIO, mutate)))
+        assert main(["simulate", MODEL, CONFIG, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert reason in err
+
+    @pytest.mark.parametrize("command,mutate,reason", [
+        ("simulate", lambda d: d.update(stabilization_window_ms="abc"),
+         "stabilization_window_ms must be a non-negative integer"),
+        ("campaign", lambda d: d.update(required_views=[]),
+         "required_views must name at least one view"),
+        ("campaign", lambda d: d["ledger"].update(exposure=["Robot", "Patient"]),
+         "names unknown 'Robot'"),
+    ], ids=["text-window", "no-views", "unknown-source"])
+    def test_malformed_config(self, tmp_path, capsys, command, mutate, reason):
+        bad = tmp_path / "config.json"
+        bad.write_text(json.dumps(_mutated(CONFIG, mutate)))
+        argv = {"simulate": ["simulate", MODEL, str(bad), self.SCENARIO],
+                "campaign": ["campaign", MODEL, str(bad), "-n", "5", "--seed", "1"]}[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "soundness violations" not in captured.out
+        assert len(captured.err.strip().splitlines()) == 1
+        assert reason in captured.err

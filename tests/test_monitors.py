@@ -1,16 +1,20 @@
+import random
+
 import pytest
 
+from hazgate.acceptance import _random_timeline
 from hazgate.datafiles import data_path
 from hazgate.executive import ExecConfig, Event, LogEntry
 from hazgate.model import load_model
 from hazgate.monitors import (
     MONITORED_REQUIREMENTS,
+    MONITORS,
     NOT_APPLICABLE,
     SATISFIED,
     VIOLATED,
     evaluate_monitors,
 )
-from hazgate.scenarios import nominal_timeline
+from hazgate.scenarios import Scenario, nominal_timeline
 from hazgate.simulate import TraceStep, run_events
 
 
@@ -125,7 +129,9 @@ class TestRevalidationMonitor:
         timeline = sorted(events + [Event(t, "Sensor", "movementDetected")],
                           key=lambda e: e.timestamp)
         unprotected = run_events(mammobot, config, timeline, enabled=False)
-        assert verdict_map(unprotected, config)["R23"].status == VIOLATED
+        verdict = verdict_map(unprotected, config)["R23"]
+        assert verdict.status == VIOLATED
+        assert verdict.explanation.startswith("motion at ")
 
     def test_protected_run_revalidates(self, mammobot, config):
         events = nominal_timeline(config)
@@ -184,6 +190,17 @@ class TestLogMonitors:
         trace.log = [e for e in trace.log if e.kind != "confirmation"][:]
         assert verdict_map(trace, config)["R8"].status == VIOLATED
 
+    def test_r8_mismatch_lists_families_sorted(self, mammobot, config):
+        trace = run_events(mammobot, config, nominal_timeline(config), enabled=True)
+        t = trace.log[-1].t
+        trace.log.append(LogEntry(t, "postureChange", "Sensor", "posture valid"))
+        trace.log.append(LogEntry(t, "confirmation", "Radiographer", "release"))
+        verdict = verdict_map(trace, config)["R8"]
+        assert verdict.status == VIOLATED
+        assert "{'confirmation': " in verdict.explanation
+        assert verdict.explanation.index("'confirmation'") < verdict.explanation.index(
+            "'postureChange'")
+
     def test_transition_without_actor_fails_r26(self, mammobot, config):
         trace = run_events(mammobot, config, nominal_timeline(config), enabled=True)
         trace.log.append(LogEntry(trace.log[-1].t, "stageTransition", "", "enter nowhere"))
@@ -196,3 +213,25 @@ class TestDeterminism:
         a = run_events(mammobot, config, events, enabled=True).to_jsonl()
         b = run_events(mammobot, config, events, enabled=True).to_jsonl()
         assert a == b
+
+
+class TestSharedFacts:
+    """The bank shares per-trace facts; each monitor alone must agree with it."""
+
+    SHIPPED = ("nominal", "uca28", "uca30", "capture_commission", "arm_positioning_early")
+
+    def _assert_bank_equals_alone(self, trace, config):
+        alone = [MONITORS[r](trace, config) for r in MONITORED_REQUIREMENTS]
+        assert evaluate_monitors(trace, config) == alone
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_shipped_scenarios(self, mammobot, config, name, enabled):
+        timeline = Scenario.load(data_path("scenarios", f"{name}.json")).compiled_timeline()
+        self._assert_bank_equals_alone(run_events(mammobot, config, timeline, enabled), config)
+
+    def test_random_timelines(self, mammobot, config):
+        rng = random.Random(20261018)
+        for i in range(200):
+            trace = run_events(mammobot, config, _random_timeline(rng), enabled=i % 2 == 0)
+            self._assert_bank_equals_alone(trace, config)

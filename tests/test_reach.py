@@ -49,6 +49,16 @@ class TestUnprotected:
         assert "failed conditions" in result.unsafe_detail
         assert result.cross_check_disagreements == []
 
+    def test_unsafe_detail_names_failed_conditions_in_interlock_order(self, mammobot, config):
+        result = brute_force_reachability(
+            mammobot, config, max_depth=1, executive_enabled=False, cross_check=False
+        )
+        assert [e.kind for e in result.counterexample] == ["exposureRequest"]
+        assert result.unsafe_detail == (
+            "exposure fired at t=0 with failed conditions: postureValid,"
+            "stabilizationElapsed,patientAssentFresh,radiographerConfirmFresh"
+        )
+
     def test_counterexample_replays_to_violation(self, mammobot, config):
         from hazgate.monitors import monitor_r24
         from hazgate.reach import REACH_STALENESS_MS, _replay

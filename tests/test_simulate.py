@@ -1,7 +1,9 @@
+import json
+
 import pytest
 
 from hazgate.datafiles import data_path
-from hazgate.executive import ExecConfig
+from hazgate.executive import Event, ExecConfig
 from hazgate.model import load_model
 from hazgate.scenarios import Scenario, nominal_timeline
 from hazgate.simulate import check_expectation, run_events, run_scenario
@@ -94,3 +96,25 @@ class TestTraceExport:
         trace = run_events(mammobot, config, nominal_timeline(config), enabled=True)
         clocks = [s.snapshot[0] for s in trace.steps]
         assert clocks == sorted(clocks)
+
+    def test_jsonl_matches_json_dumps_reference(self, mammobot, config):
+        timeline = Scenario.load(data_path("scenarios", "uca28.json")).compiled_timeline()
+        timeline.append(Event(timeline[-1].timestamp + 10, "Patient", "voiceStop"))
+        trace = run_events(mammobot, config, timeline, enabled=True)
+        assert trace.refusals
+        assert trace.steps[-1].event is None  # the close-out step
+        lines = [
+            json.dumps({
+                "t": step.snapshot[0],
+                "event": step.event.to_json_dict() if step.event is not None else None,
+                "node": step.snapshot[1],
+                "emitted": list(step.emitted),
+                "verdicts": [{"kind": v.kind, "subject": v.subject,
+                              "requirement": v.requirement, "detail": v.detail}
+                             for v in step.verdicts],
+            }, separators=(",", ":"))
+            for step in trace.steps
+        ]
+        lines.append(json.dumps({"final": {"status": trace.final_status,
+                                           "node": trace.final_node}}, separators=(",", ":")))
+        assert trace.to_jsonl() == "\n".join(lines) + "\n"
