@@ -14,17 +14,28 @@ import json
 import random
 from dataclasses import dataclass, field
 
+from .datafiles import data_path
 from .executive import Event, ExecConfig
 from .model import ProcessModel, normalize_label
-from .monitors import MONITORED_REQUIREMENTS, NOT_APPLICABLE, SATISFIED, VIOLATED
+from .monitors import (
+    MONITORED_REQUIREMENTS,
+    NOT_APPLICABLE,
+    SATISFIED,
+    VIOLATED,
+    evaluate_monitors,
+)
 from .scenarios import (
     Injection,
     InjectionError,
     Scenario,
     Selector,
     TRANSFORM_FOR_GUIDEWORD,
+    apply_injection,
     nominal_timeline,
 )
+from .shard import load_shard_catalog
+from .simulate import classify_outcome, run_events
+from .stpa import load_uca_catalog
 
 SOUNDNESS_REQUIREMENTS = ("R14", "R20", "R21", "R23", "R24", "R25")
 
@@ -63,7 +74,6 @@ _NODE_EVENT_KINDS = {
 _CORRUPTIBLE = {
     "postureUpdate": "valid",
     "exposureComplete": "retake",
-    "commandConfirm": None,  # resolved from the action
 }
 _CONFIRM_FIELDS = {"selfTest": "ready", "planReady": "valid",
                    "adjustments": "needed", "stageIdentified": "view"}
@@ -193,10 +203,6 @@ def run_random_campaign(
     if n < 1:
         raise ValueError("campaign needs n >= 1")
     if shard_catalog is None or ucas is None:
-        from .datafiles import data_path
-        from .shard import load_shard_catalog
-        from .stpa import load_uca_catalog
-
         shard_catalog = shard_catalog or load_shard_catalog(data_path("shard_catalog.csv"))
         ucas = ucas or load_uca_catalog(data_path("uca_catalog.csv"))
 
@@ -206,11 +212,6 @@ def run_random_campaign(
     report.verdict_counts = {
         r: {SATISFIED: 0, VIOLATED: 0, NOT_APPLICABLE: 0} for r in monitors
     }
-
-    from .monitors import evaluate_monitors
-    from .simulate import classify_outcome, run_events
-
-    from .scenarios import apply_injection
 
     for index, child_seed in enumerate(child_seeds):
         rng = random.Random(child_seed)

@@ -172,7 +172,7 @@ def cmd_stpa_report(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .executive import ExecConfig
+    from .executive import ExecConfig, log_jsonl
     from .model import load_model
     from .scenarios import Scenario
     from .simulate import check_expectation, run_scenario
@@ -196,10 +196,7 @@ def cmd_simulate(args) -> int:
             fh.write(result.trace.to_jsonl())
     if args.log:
         with open(args.log, "w", encoding="utf-8") as fh:
-            for entry in result.trace.log:
-                import json
-
-                fh.write(json.dumps(entry.to_json_dict(), separators=(",", ":")) + "\n")
+            fh.write(log_jsonl(result.trace.log))
     return 1 if result.violated else 0
 
 

@@ -8,9 +8,14 @@ simulated milliseconds carried on events; there is no wall-clock dependence.
 
 Safety-critical grants (motion start, X-ray exposure, patient release,
 resume after stop) pass through explicit gates over the current state plus
-a multi-source confirmation ledger with a freshness window.  Confirmations
-are consumed by the grant they enable, so every exposure or motion needs
-fresh confirmations of its own.
+a multi-source confirmation ledger with a freshness window.  Motion,
+exposure and release are granted through one path, ``_grant``, which
+consumes the confirmations that enabled the grant, so every exposure or
+motion needs fresh confirmations of its own; resume consumes its own.
+Every refusal goes through one path, ``_refuse``, which records the
+verdict and its log line together.  Decision guards are read through one
+table, ``_GUARD_SLOTS``, naming the input slot each guard reads and
+consumes; only the live-state guards are written out.
 
 With ``enabled=False`` the same event stream is interpreted permissively:
 stops and faults are logged but not acted upon, gates always allow, and
@@ -24,7 +29,7 @@ import json
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
-from .jsoncheck import json_field, json_int, json_names, json_object
+from .jsoncheck import json_field, json_int, json_keys, json_names, json_object
 from .model import KIND_ACTION, KIND_FINAL, KIND_INITIAL, ProcessModel, normalize_label
 
 SOURCES = ("Radiographer", "Patient", "Sensor", "System")
@@ -87,7 +92,7 @@ CONDITION_CITES = (
 )
 
 
-def cite_for(failed: tuple[str, ...]) -> str | None:
+def cite_for(failed: list[str]) -> str | None:
     for condition, requirement in CONDITION_CITES:
         if condition in failed:
             return requirement
@@ -116,14 +121,15 @@ class ExecConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExecConfig":
-        json_object(data, "config")
+        ints = [f.name for f in fields(cls) if f.type == "int"]  # annotations are strings here
+        json_keys(data, "config", (*ints, "required_views", "ledger", "schema_version"))
         views = json_names(data.get("required_views", cls.required_views),
                            "config required_views")
         if not views:
             raise ValueError("config required_views must name at least one view")
         return cls(
-            **{f.name: json_int(data.get(f.name, f.default), f"config {f.name}")
-               for f in fields(cls) if f.type == "int"},  # annotations are strings here
+            **{name: json_int(data.get(name, getattr(cls, name)), f"config {name}")
+               for name in ints},
             required_views=views,
             ledger_requirements={
                 action: json_names(sources, f"config ledger {action!r}", SOURCES)
@@ -140,12 +146,7 @@ class ExecConfig:
     def to_json_dict(self) -> dict:
         return {
             "schema_version": "exec-config/1",
-            "stop_latency_budget_ms": self.stop_latency_budget_ms,
-            "stabilization_window_ms": self.stabilization_window_ms,
-            "confirmation_staleness_ms": self.confirmation_staleness_ms,
-            "command_response_budget_ms": self.command_response_budget_ms,
-            "max_retakes_per_view": self.max_retakes_per_view,
-            "step_cap": self.step_cap,
+            **{f.name: getattr(self, f.name) for f in fields(self) if f.type == "int"},
             "required_views": list(self.required_views),
             "ledger": {k: list(v) for k, v in sorted(self.ledger_requirements.items())},
         }
@@ -265,9 +266,16 @@ class SessionLog:
         return iter(self.entries)
 
     def to_jsonl(self) -> str:
-        return "".join(
-            json.dumps(e.to_json_dict(), separators=(",", ":")) + "\n" for e in self.entries
-        )
+        return log_jsonl(self.entries)
+
+
+# what json.dumps(obj, separators=(",", ":")) builds per call, built once
+COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
+def log_jsonl(entries) -> str:
+    """One compact JSON line per log entry."""
+    return "".join(COMPACT_JSON.encode(e.to_json_dict()) + "\n" for e in entries)
 
 
 # node roles recognised by the executive, keyed on normalized display label
@@ -282,17 +290,30 @@ _NODE_ROLES = {
     "releasepatient": "release",
 }
 
-_GUARD_ROLES = {
-    "systemReady": "selfTest",
-    "processStageIdentified": "stage",
-    "postureDetected": "posture",
-    "trajectoryValid": "plan",
-    "faultDetected": "fault",
-    "interruptionHRI": "interruption",
-    "patientOK": "patientOK",
-    "adjustmentsNeeded": "adjustments",
-    "retakeNeeded": "retake",
-    "processDone": "done",
+# decision guard -> the tri-state input slot it reads and consumes; the
+# live-state guards (faultDetected, interruptionHRI, patientOK, processDone)
+# are read in SafetyExecutive._take_guard and any other guard is a generic
+# decision
+_GUARD_SLOTS = {
+    "systemReady": "self_test_result",
+    "processStageIdentified": "stage_result",
+    "postureDetected": "posture_result",
+    "trajectoryValid": "plan_result",
+    "adjustmentsNeeded": "adjustments_result",
+    "retakeNeeded": "retake_result",
+}
+
+# action role -> the slot that completes it and that slot's value while the
+# action is still open; any other action waits for an "advance" confirmation
+_COMPLETION_SLOTS = {
+    "init": ("self_test_result", None),
+    "stage": ("stage_result", None),
+    "posture": ("posture_result", None),
+    "plan": ("plan_result", None),
+    "motion": ("motion_done", False),
+    "adjust": ("motion_done", False),
+    "capture": ("retake_result", None),
+    "release": ("compliance_mode", False),
 }
 
 
@@ -455,9 +476,9 @@ def stabilization_elapsed(state: ExecState, now: int, config: ExecConfig) -> boo
     return since is not None and now - since >= config.stabilization_window_ms
 
 
-def gate_exposure(state: ExecState, config: ExecConfig, now: int | None = None) -> GateDecision:
+def gate_exposure(state: ExecState, config: ExecConfig) -> GateDecision:
     """Pure conjunction of the eight exposure interlock conditions."""
-    t = state.clock if now is None else now
+    t = state.clock
     failed = []
     if not state.posture_valid:
         failed.append("postureValid")
@@ -478,9 +499,8 @@ def gate_exposure(state: ExecState, config: ExecConfig, now: int | None = None) 
     return GateDecision(not failed, tuple(failed))
 
 
-def gate_motion(state: ExecState, config: ExecConfig, now: int | None = None) -> GateDecision:
+def gate_motion(state: ExecState, config: ExecConfig) -> GateDecision:
     """Pure conjunction of the five motion-enable conditions."""
-    t = state.clock if now is None else now
     failed = []
     if not state.posture_valid:
         failed.append("postureValid")
@@ -490,7 +510,7 @@ def gate_motion(state: ExecState, config: ExecConfig, now: int | None = None) ->
         failed.append("noFault")
     if state.revalidation_required:
         failed.append("noRevalidationPending")
-    if not state.ledger.satisfied("motionStart", t):
+    if not state.ledger.satisfied("motionStart", state.clock):
         failed.append("ledgerMotionStart")
     return GateDecision(not failed, tuple(failed))
 
@@ -508,6 +528,27 @@ class StepResult:
     state: ExecState
     emitted: list[str]
     verdicts: list[StepVerdict]
+
+
+def _refuse(state: ExecState, verdicts, subject, requirement, detail, logged) -> None:
+    """Refuse a command: its verdict and its refusal log line."""
+    verdicts.append(StepVerdict("refused", subject, requirement, detail))
+    state.log.append(state.clock, "refusal", "System", logged)
+
+
+def _refuse_failed(state: ExecState, verdicts, subject, action, failed, default=None) -> None:
+    """Refuse a gated grant, citing the first failed condition's requirement."""
+    joined = ",".join(failed)
+    _refuse(state, verdicts, subject, cite_for(failed) or default,
+            "failed: " + joined, f"{action}: {joined}")
+
+
+def _grant(state: ExecState, emitted, verdicts, action, marker, subject, log_kind, logged) -> None:
+    """Record a grant; it consumes the confirmations that enabled it."""
+    state.ledger.consume(action)
+    emitted.append(marker)
+    verdicts.append(StepVerdict("granted", subject))
+    state.log.append(state.clock, log_kind, "System", logged)
 
 
 class SafetyExecutive:
@@ -609,53 +650,22 @@ class SafetyExecutive:
     # -- gates & grants -----------------------------------------------------
 
     def _try_start_motion(self, state: ExecState, emitted, verdicts) -> None:
-        at_motion_node = self._role(state.current_node) in ("motion", "adjust")
         if self.enabled:
-            decision = gate_motion(state, self.config)
-            failed = list(decision.failed)
-            if not at_motion_node:
+            failed = list(gate_motion(state, self.config).failed)
+            if self._role(state.current_node) not in ("motion", "adjust"):
                 failed.append("atMotionStage")
             if failed:
-                requirement = cite_for(tuple(failed))
-                verdicts.append(StepVerdict("refused", "motionStart", requirement,
-                                            "failed: " + ",".join(failed)))
-                state.log.append(state.clock, "refusal", "System",
-                                 "motionStart: " + ",".join(failed))
+                _refuse_failed(state, verdicts, "motionStart", "motionStart", failed)
                 return
         state.arm_moving = True
-        state.ledger.consume("motionStart")
-        emitted.append("start-motion")
-        verdicts.append(StepVerdict("granted", "motionStart"))
-        state.log.append(state.clock, "motion", "System", "started")
+        _grant(state, emitted, verdicts, "motionStart", "start-motion", "motionStart",
+               "motion", "started")
 
-    def _try_fire_exposure(self, state: ExecState, emitted, verdicts) -> None:
-        if state.exposure_in_progress:
-            verdicts.append(StepVerdict("ignored", "exposureRequest", detail="already in progress"))
-            return
-        at_capture = self._role(state.current_node) == "capture"
-        if self.enabled:
-            decision = gate_exposure(state, self.config)
-            failed = list(decision.failed)
-            if not at_capture:
-                failed.append("atCaptureStage")
-            if failed:
-                requirement = cite_for(tuple(failed)) or "R24"
-                verdicts.append(StepVerdict("refused", "exposureRequest", requirement,
-                                            "failed: " + ",".join(failed)))
-                state.log.append(state.clock, "refusal", "System",
-                                 "exposure: " + ",".join(failed))
-                return
-        state.exposure_in_progress = True
-        state.ledger.consume("exposure")
-        emitted.append("fire-exposure")
-        verdicts.append(StepVerdict("granted", "exposureRequest"))
-        state.log.append(state.clock, "exposure", "System", "granted")
-
-    def _try_release(self, state: ExecState, emitted, verdicts, safe_path: bool = False) -> bool:
+    def _try_release(self, state: ExecState, emitted, verdicts, safe_path: bool = False) -> None:
         """Compliance-mode transition; gated unless taken as the safe path."""
         if state.compliance_mode:
             verdicts.append(StepVerdict("ignored", "release", detail="already compliant"))
-            return True
+            return
         if self.enabled and not safe_path:
             failed = []
             if state.arm_moving:
@@ -667,20 +677,12 @@ class SafetyExecutive:
             if not state.ledger.satisfied("release", state.clock):
                 failed.append("ledgerRelease")
             if failed:
-                requirement = cite_for(tuple(failed)) or "R25"
-                verdicts.append(StepVerdict("refused", "release", requirement,
-                                            "failed: " + ",".join(failed)))
-                state.log.append(state.clock, "refusal", "System",
-                                 "release: " + ",".join(failed))
-                return False
+                _refuse_failed(state, verdicts, "release", "release", failed, "R25")
+                return
         state.arm_moving = False
         state.compliance_mode = True
-        state.ledger.consume("release")
-        emitted.append("enter-compliance")
-        verdicts.append(StepVerdict("granted", "release"))
-        state.log.append(state.clock, "release", "System",
-                         "compliant safe posture" + (" (safe path)" if safe_path else ""))
-        return True
+        _grant(state, emitted, verdicts, "release", "enter-compliance", "release", "release",
+               "compliant safe posture" + (" (safe path)" if safe_path else ""))
 
     # -- public operations (spec surface) -----------------------------------
 
@@ -694,14 +696,6 @@ class SafetyExecutive:
             self.handle_event(state, Event(t, source, "commandConfirm", {"action": "resume"}))
         t = max((t for _, t in confirmations), default=state.clock)
         return self.handle_event(state, Event(t, "Radiographer", "resumeRequest"))
-
-    def release_patient(self, state: ExecState) -> StepResult:
-        emitted: list[str] = []
-        verdicts: list[StepVerdict] = []
-        safe_path = state.session_status == STATUS_ABANDONED or state.fault_active
-        self._try_release(state, emitted, verdicts, safe_path=safe_path)
-        self._progress(state, emitted, verdicts)
-        return StepResult(state, emitted, verdicts)
 
     def close_out(self, state: ExecState) -> StepResult:
         """End-of-stream safety close: safe-posture if ending non-nominally."""
@@ -761,40 +755,34 @@ class SafetyExecutive:
             if not valid:
                 state.plan_result = False
                 return
-            if self.enabled and self._frozen(state):
-                verdicts.append(StepVerdict("refused", "planReady", "R14", "stopped"))
-                state.log.append(state.clock, "refusal", "System", "planReady: stopped")
+            if self._frozen(state):
+                _refuse(state, verdicts, "planReady", "R14", "stopped", "planReady: stopped")
                 return
             if self.enabled and not stabilization_elapsed(state, state.clock, self.config):
-                verdicts.append(StepVerdict("refused", "planReady", "R21",
-                                            "stabilization window not elapsed"))
-                state.log.append(state.clock, "refusal", "System",
-                                 "planReady: stabilizationElapsed")
+                _refuse(state, verdicts, "planReady", "R21", "stabilization window not elapsed",
+                        "planReady: stabilizationElapsed")
                 return
             state.plan_result = True
             state.trajectory_valid = True
             emitted.append("plan-accepted")
             state.log.append(state.clock, "plan", "System", "accepted")
         elif action == "motionStart":
-            if self.enabled and self._frozen(state):
-                verdicts.append(StepVerdict("refused", "motionStart", "R14", "stopped"))
-                state.log.append(state.clock, "refusal", "System", "motionStart: stopped")
-                return
-            if state.arm_moving:
+            if self._frozen(state):
+                _refuse(state, verdicts, "motionStart", "R14", "stopped", "motionStart: stopped")
+            elif state.arm_moving:
                 verdicts.append(StepVerdict("ignored", "motionStart", detail="already moving"))
-                return
-            self._try_start_motion(state, emitted, verdicts)
+            else:
+                self._try_start_motion(state, emitted, verdicts)
         elif action == "adjustments":
             state.adjustments_result = bool(event.payload.get("needed", False))
         elif action == "release":
             safe = state.session_status == STATUS_ABANDONED or (
                 self.enabled and state.fault_active
             )
-            if self.enabled and self._frozen(state) and not safe:
-                verdicts.append(StepVerdict("refused", "release", "R14", "stopped"))
-                state.log.append(state.clock, "refusal", "System", "release: stopped")
-                return
-            self._try_release(state, emitted, verdicts, safe_path=safe)
+            if self._frozen(state) and not safe:
+                _refuse(state, verdicts, "release", "R14", "stopped", "release: stopped")
+            else:
+                self._try_release(state, emitted, verdicts, safe_path=safe)
         elif action == "decide":
             name = event.payload.get("guard")
             if name:
@@ -841,11 +829,22 @@ class SafetyExecutive:
         state.log.append(state.clock, "motion", "System", "complete")
 
     def _on_exposureRequest(self, state, event, emitted, verdicts):
-        if self.enabled and self._frozen(state):
-            verdicts.append(StepVerdict("refused", "exposureRequest", "R14", "stopped"))
-            state.log.append(state.clock, "refusal", "System", "exposure: stopped")
+        if self._frozen(state):
+            _refuse(state, verdicts, "exposureRequest", "R14", "stopped", "exposure: stopped")
             return
-        self._try_fire_exposure(state, emitted, verdicts)
+        if state.exposure_in_progress:
+            verdicts.append(StepVerdict("ignored", "exposureRequest", detail="already in progress"))
+            return
+        if self.enabled:
+            failed = list(gate_exposure(state, self.config).failed)
+            if self._role(state.current_node) != "capture":
+                failed.append("atCaptureStage")
+            if failed:
+                _refuse_failed(state, verdicts, "exposureRequest", "exposure", failed, "R24")
+                return
+        state.exposure_in_progress = True
+        _grant(state, emitted, verdicts, "exposure", "fire-exposure", "exposureRequest",
+               "exposure", "granted")
 
     def _on_exposureComplete(self, state, event, emitted, verdicts):
         if not state.exposure_in_progress:
@@ -905,12 +904,10 @@ class SafetyExecutive:
         if not (state.interruption_active or state.awaiting_resume):
             verdicts.append(StepVerdict("ignored", "resumeRequest", detail="not stopped"))
             return
-        missing = state.ledger.missing("resume", state.clock)
+        missing = ",".join(state.ledger.missing("resume", state.clock))
         if missing:
-            verdicts.append(StepVerdict("refused", "resumeRequest", "R20",
-                                        "missing fresh confirmations: " + ",".join(missing)))
-            state.log.append(state.clock, "refusal", "System",
-                             "resume: " + ",".join(missing))
+            _refuse(state, verdicts, "resumeRequest", "R20",
+                    "missing fresh confirmations: " + missing, "resume: " + missing)
             return
         state.interruption_active = False
         state.awaiting_resume = False
@@ -949,69 +946,32 @@ class SafetyExecutive:
     # -- graph progression ----------------------------------------------------
 
     def _action_complete(self, state: ExecState, node_id: str) -> bool:
-        role = self._role(node_id)
-        if role == "init":
-            return state.self_test_result is not None
-        if role == "stage":
-            return state.stage_result is not None
-        if role == "posture":
-            return state.posture_result is not None
-        if role == "plan":
-            return state.plan_result is not None
-        if role in ("motion", "adjust"):
-            return state.motion_done
-        if role == "capture":
-            return state.retake_result is not None
-        if role == "release":
-            return state.compliance_mode
-        return state.generic_advance
+        slot, open_value = _COMPLETION_SLOTS.get(self._role(node_id), ("generic_advance", False))
+        return getattr(state, slot) is not open_value
 
-    def _guard_value(self, state: ExecState, guard: str) -> bool | None:
-        role = _GUARD_ROLES.get(guard)
-        if role == "selfTest":
-            return state.self_test_result
-        if role == "stage":
-            return state.stage_result
-        if role == "posture":
-            return state.posture_result
-        if role == "plan":
-            return state.plan_result
-        if role == "fault":
+    def _take_guard(self, state: ExecState, guard: str) -> bool | None:
+        """Value of a decision guard; a decided input slot or generic decision
+        is consumed by the read, a live-state guard is not."""
+        slot = _GUARD_SLOTS.get(guard)
+        if slot is not None:
+            value = getattr(state, slot)
+            setattr(state, slot, None)
+            if value is None and not self.enabled and guard == "adjustmentsNeeded":
+                return False  # unprotected: undecided adjustments read as none needed
+            return value
+        if guard == "faultDetected":
             return state.fault_active
-        if role == "interruption":
+        if guard == "interruptionHRI":
             return state.interruption_active
-        if role == "patientOK":
+        if guard == "patientOK":
             if state.patient_not_ok:
                 return False
             if state.assent_fresh(state.clock, self.config.confirmation_staleness_ms):
                 return True
             return True if not self.enabled else None
-        if role == "adjustments":
-            if state.adjustments_result is None and not self.enabled:
-                return False
-            return state.adjustments_result
-        if role == "retake":
-            return state.retake_result
-        if role == "done":
+        if guard == "processDone":
             return set(self.config.required_views) <= state.views_acquired
-        return state.generic_decisions.get(guard)
-
-    def _consume_guard(self, state: ExecState, guard: str) -> None:
-        role = _GUARD_ROLES.get(guard)
-        if role == "selfTest":
-            state.self_test_result = None
-        elif role == "stage":
-            state.stage_result = None
-        elif role == "posture":
-            state.posture_result = None
-        elif role == "plan":
-            state.plan_result = None
-        elif role == "adjustments":
-            state.adjustments_result = None
-        elif role == "retake":
-            state.retake_result = None
-        elif role is None:
-            state.generic_decisions.pop(guard, None)
+        return state.generic_decisions.pop(guard, None)
 
     def _enter(self, state: ExecState, node_id: str, verdicts: list[StepVerdict]) -> None:
         state.current_node = node_id
@@ -1055,16 +1015,15 @@ class SafetyExecutive:
                 self._enter(state, nxt, verdicts)
                 continue
             # decision
-            value = self._guard_value(state, node.guard)
+            value = self._take_guard(state, node.guard)
             if value is None:
                 return
             if (
-                _GUARD_ROLES.get(node.guard) == "retake"
+                node.guard == "retakeNeeded"
                 and value
                 and state.retake_count.get(state.current_view or "", 0)
                 > self.config.max_retakes_per_view
             ):
-                self._consume_guard(state, node.guard)
                 verdicts.append(StepVerdict(
                     "forced-abandon", "retakeBound", None,
                     f"retake bound exceeded for {state.current_view}",
@@ -1076,7 +1035,6 @@ class SafetyExecutive:
                     self._enter(state, release_node, verdicts)
                     self._try_release(state, emitted, verdicts, safe_path=True)
                 return
-            self._consume_guard(state, node.guard)
             nxt = self._edges_true[node.id] if value else self._edges_false[node.id]
             self._enter(state, nxt, verdicts)
 

@@ -42,3 +42,11 @@ def json_names(value, where: str, known=None) -> tuple[str, ...]:
         if known is not None and name not in known:
             raise ValueError(f"{where} names unknown {name!r}; known: {', '.join(known)}")
     return tuple(value)
+
+
+def json_keys(data, where: str, known) -> dict:
+    """A JSON object whose every key is one of ``known``."""
+    for key in json_object(data, where):
+        if key not in known:
+            raise ValueError(f"{where} has unknown key {key!r}; known: {', '.join(known)}")
+    return data

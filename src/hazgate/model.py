@@ -105,9 +105,6 @@ class ProcessModel:
                 return n
         raise KeyError(f"unknown node id: {node_id}")
 
-    def has_node(self, node_id: str) -> bool:
-        return any(n.id == node_id for n in self.nodes)
-
     def node_by_label(self, label: str) -> Node:
         key = normalize_label(label)
         for n in self.nodes:

@@ -30,6 +30,7 @@ from .executive import (
     SNAP_ARM_MOVING,
     SNAP_CLOCK,
     SNAP_COMPLIANCE,
+    SNAP_EXPOSURE_IN_PROGRESS,
     SNAP_FAULT,
     SNAP_INTERRUPTION,
     SNAP_POSTURE_VALID,
@@ -89,18 +90,16 @@ def _grants(trace):
             kind = _MARKER_GRANT.get(marker)
             if kind is not None:
                 out.append((i, step.snapshot[SNAP_CLOCK], kind))
-        if step.event is not None and step.event.kind == "exposureComplete":
+        if (
+            not trace.executive_enabled
+            and step.event is not None
+            and step.event.kind == "exposureComplete"
+            and "fire-exposure" not in step.emitted
+            and not (i and trace.steps[i - 1].snapshot[SNAP_EXPOSURE_IN_PROGRESS])
+        ):
             # unprotected runs treat an orphan completion as a firing
-            if "fire-exposure" not in step.emitted and _orphan_exposure(trace, i):
-                out.append((i, step.snapshot[SNAP_CLOCK], "exposure"))
+            out.append((i, step.snapshot[SNAP_CLOCK], "exposure"))
     return out
-
-
-def _orphan_exposure(trace, index) -> bool:
-    step = trace.steps[index]
-    before = trace.steps[index - 1].snapshot if index else None
-    in_progress = before[10] if before else False  # SNAP_EXPOSURE_IN_PROGRESS
-    return not in_progress and step.snapshot[SNAP_CLOCK] is not None and not trace.executive_enabled
 
 
 _LEDGER_EVENT_KINDS = frozenset(("commandConfirm", "assent", "assentWithdrawn"))

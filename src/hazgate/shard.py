@@ -56,7 +56,6 @@ DEFAULT_APPLICABILITY = {
 
 STATUS_PENDING = "Pending"
 STATUS_FILLED = "Filled"
-STATUS_JUSTIFIED_NA = "JustifiedNA"
 
 CATALOG_COLUMNS = [
     "node", "guideword", "deviation", "causes", "effects", "detection",
@@ -66,10 +65,6 @@ CATALOG_COLUMNS = [
 
 class CatalogError(ValueError):
     """Schema violation in a deviation catalog file."""
-
-
-def severity_rank(level: str) -> int:
-    return HAZARD_LEVELS.index(level)
 
 
 def _ordered_guidewords(words) -> tuple[str, ...]:

@@ -14,10 +14,9 @@ log) and the monitor verdicts evaluated over it.  Outcomes:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
-from .executive import ExecConfig, init_executive
+from .executive import COMPACT_JSON, ExecConfig, init_executive
 from .model import ProcessModel
 from .monitors import VIOLATED, MonitorVerdict, evaluate_monitors
 from .scenarios import (
@@ -28,9 +27,6 @@ from .scenarios import (
 )
 
 OUTCOME_VIOLATION_FOUND = "Violation"
-
-# what json.dumps(obj, separators=(",", ":")) builds per call, built once
-_COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -74,8 +70,8 @@ class Trace:
                     for v in step.verdicts
                 ],
             }
-            lines.append(_COMPACT_JSON.encode(record))
-        lines.append(_COMPACT_JSON.encode(
+            lines.append(COMPACT_JSON.encode(record))
+        lines.append(COMPACT_JSON.encode(
             {"final": {"status": self.final_status, "node": self.final_node}}
         ))
         return "\n".join(lines) + "\n"

@@ -198,10 +198,6 @@ def load_cue_catalog(path) -> list[CueRecord]:
     return records
 
 
-def load_stpa_catalogs(uca_path, cue_path) -> tuple[list[UcaRecord], list[CueRecord]]:
-    return load_uca_catalog(uca_path), load_cue_catalog(cue_path)
-
-
 def cue_applicability(cue: CueRecord, node: Node) -> bool:
     """CUEs are cross-cutting: applicable at every workflow node."""
     return True

@@ -87,6 +87,20 @@ class TestSimulate:
         first = json.loads(log.read_text().splitlines()[0])
         assert list(first) == ["t", "kind", "actor", "details"]
 
+    def test_log_file_matches_reference_format(self, tmp_path, capsys):
+        """The --log writer emits json.dumps compact lines, one per log entry."""
+        from hazgate.executive import ExecConfig
+        from hazgate.model import load_model
+        from hazgate.scenarios import Scenario
+        from hazgate.simulate import run_scenario
+
+        scenario = str(data_path("scenarios", "uca28.json"))
+        log = tmp_path / "log.jsonl"
+        assert main(["simulate", MODEL, CONFIG, scenario, "--log", str(log)]) == 0
+        result = run_scenario(load_model(MODEL), ExecConfig.load(CONFIG), Scenario.load(scenario))
+        assert log.read_text() == "".join(
+            json.dumps(e.to_json_dict(), separators=(",", ":")) + "\n" for e in result.trace.log)
+
 
 class TestCampaignCommand:
     def test_small_campaign(self, tmp_path, capsys):
@@ -150,7 +164,9 @@ class TestMalformedInputs:
          "required_views must name at least one view"),
         ("campaign", lambda d: d["ledger"].update(exposure=["Robot", "Patient"]),
          "names unknown 'Robot'"),
-    ], ids=["text-window", "no-views", "unknown-source"])
+        ("simulate", lambda d: d.update(stabilisation_window_ms=0),
+         "config has unknown key 'stabilisation_window_ms'"),
+    ], ids=["text-window", "no-views", "unknown-source", "misspelt-key"])
     def test_malformed_config(self, tmp_path, capsys, command, mutate, reason):
         bad = tmp_path / "config.json"
         bad.write_text(json.dumps(_mutated(CONFIG, mutate)))

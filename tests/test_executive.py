@@ -1,7 +1,11 @@
+import hashlib
 import itertools
+import json
+import random
 
 import pytest
 
+from hazgate.acceptance import _random_timeline
 from hazgate.datafiles import data_path
 from hazgate.executive import (
     _NODE_ROLES,
@@ -18,7 +22,8 @@ from hazgate.executive import (
     stabilization_elapsed,
 )
 from hazgate.model import load_model, normalize_label, parse_model
-from hazgate.scenarios import nominal_timeline
+from hazgate.scenarios import Scenario, nominal_timeline
+from hazgate.simulate import run_events
 
 MINIMAL = """\
 process minimal
@@ -69,6 +74,50 @@ class TestInit:
     def test_minimal_model(self, config):
         _, state = init_executive(parse_model(MINIMAL), config)
         assert state.current_node == "work"
+
+
+LOOP = """\
+process loop
+guard again "The work must be done once more" holds="repeat"
+initial start
+final end
+action work "Do the work" actor=A
+decision more "Again?" guard=again
+edge start -> work
+edge work -> more
+edge more -> work when=true
+edge more -> end when=false
+"""
+
+
+class TestGenericWorkflow:
+    """Actions and decisions outside the executive's roles: an "advance"
+    confirmation completes the action and a "decide" confirmation is consumed
+    by the decision that reads it."""
+
+    def confirm(self, executive, state, t, **payload):
+        return executive.handle_event(state, Event(t, "Radiographer", "commandConfirm", payload))
+
+    def test_advance_and_decide_drive_the_loop(self, config):
+        executive, state = init_executive(parse_model(LOOP), config)
+        assert state.current_node == "work"
+        self.confirm(executive, state, 10, action="decide", guard="again", value=True)
+        assert state.current_node == "work"  # the action is still open
+        self.confirm(executive, state, 20, action="advance")
+        assert state.current_node == "work"  # looped back once
+        assert state.generic_decisions == {} and state.generic_advance is False
+        self.confirm(executive, state, 30, action="advance")
+        assert state.current_node == "more"  # undecided blocks progression
+        self.confirm(executive, state, 40, action="decide", guard="again", value=False)
+        assert state.current_node == "end"
+        assert state.session_status == "complete"
+
+
+class TestConfigJson:
+    def test_round_trips_the_shipped_file(self, config):
+        shipped = json.loads(data_path("exec_config.json").read_text(encoding="utf-8"))
+        assert config.to_json_dict() == shipped
+        assert ExecConfig.from_json_dict(config.to_json_dict()) == config
 
 
 class TestConstruction:
@@ -431,6 +480,21 @@ class TestRelease:
         assert state.retake_count["CC"] == bound + 1
 
 
+class TestGrantsConsumeConfirmations:
+    @pytest.mark.parametrize("marker,action", [
+        ("start-motion", "motionStart"),
+        ("fire-exposure", "exposure"),
+        ("enter-compliance", "release"),
+    ])
+    def test_grant_consumes_its_ledger_entry(self, mammobot, config, marker, action):
+        executive, state = fresh(mammobot, config)
+        for event in nominal_timeline(config):
+            if marker in executive.handle_event(state, event).emitted:
+                assert state.ledger.received[action] == {}
+                return
+        pytest.fail(f"the nominal session never emitted {marker}")
+
+
 class TestSessionLog:
     def test_every_auditable_event_logged_once(self, mammobot, config):
         executive, state = fresh(mammobot, config)
@@ -490,3 +554,29 @@ class TestDisabledExecutive:
             executive.handle_event(state, event)
         assert state.session_status == "complete"
         assert state.views_acquired == {"CC", "MLO-L", "MLO-R"}
+
+
+def _behaviour_digest(mammobot, config) -> str:
+    """sha256 over trace JSONL plus compact log JSON for the shipped scenarios
+    in both modes and 1,000 random timelines in alternating modes.  Only bytes
+    that do not depend on the hash seed are hashed: no snapshot reprs."""
+    runs = [(Scenario.load(path).compiled_timeline(), enabled)
+            for path in sorted(data_path("scenarios").glob("*.json"))
+            for enabled in (True, False)]
+    rng = random.Random(20261018)
+    runs += [(_random_timeline(rng), i % 2 == 0) for i in range(1000)]
+    digest = hashlib.sha256()
+    for events, enabled in runs:
+        trace = run_events(mammobot, config, events, enabled=enabled)
+        digest.update(trace.to_jsonl().encode("utf-8"))
+        for entry in trace.log:
+            digest.update(json.dumps(entry.to_json_dict(), separators=(",", ":")).encode("utf-8"))
+    return digest.hexdigest()
+
+
+class TestBehaviourPinned:
+    def test_traces_and_logs_pinned(self, mammobot, config):
+        """Verdicts, markers, grant and refusal log text as produced before the
+        executive's decisions were each written once; a refactor must keep them."""
+        assert _behaviour_digest(mammobot, config) == (
+            "a5e8b91e57a551599c708169a76ad3baf06fdacfcec3fb38be50de8272ccd8f0")
