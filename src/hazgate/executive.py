@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
-from .jsoncheck import json_field, json_int, json_keys, json_names, json_object
+from .jsoncheck import json_field, json_int, json_keys, json_names, json_object, json_version
 from .model import KIND_ACTION, KIND_FINAL, KIND_INITIAL, ProcessModel, normalize_label
 
 SOURCES = ("Radiographer", "Patient", "Sensor", "System")
@@ -103,6 +103,9 @@ class TimestampRegression(ValueError):
     """Event timestamp earlier than the executive clock."""
 
 
+CONFIG_SCHEMA = "exec-config/1"
+
+
 @dataclass
 class ExecConfig:
     stop_latency_budget_ms: int = 100
@@ -123,6 +126,7 @@ class ExecConfig:
     def from_json_dict(cls, data: dict) -> "ExecConfig":
         ints = [f.name for f in fields(cls) if f.type == "int"]  # annotations are strings here
         json_keys(data, "config", (*ints, "required_views", "ledger", "schema_version"))
+        json_version(data, "config", CONFIG_SCHEMA)
         views = json_names(data.get("required_views", cls.required_views),
                            "config required_views")
         if not views:
@@ -145,7 +149,7 @@ class ExecConfig:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": "exec-config/1",
+            "schema_version": CONFIG_SCHEMA,
             **{f.name: getattr(self, f.name) for f in fields(self) if f.type == "int"},
             "required_views": list(self.required_views),
             "ledger": {k: list(v) for k, v in sorted(self.ledger_requirements.items())},
@@ -182,6 +186,7 @@ class Event:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Event":
         # __init__ rejects an unknown source or kind
+        json_keys(data, "event", ("t", "source", "kind", "payload"))
         return cls(
             json_int(json_field(data, "t", "event"), "event t"),
             json_field(data, "source", "event"),
@@ -428,11 +433,6 @@ class ExecState:
         dup.step_count = self.step_count
         return dup
 
-    @property
-    def exposure_locked(self) -> bool:
-        """Derived, not stored: locked whenever no exposure is in progress."""
-        return not self.exposure_in_progress
-
     def snapshot(self) -> tuple:
         """Cheap immutable view of everything the trace monitors evaluate."""
         return (
@@ -440,9 +440,6 @@ class ExecState:
             self.trajectory_valid, self.posture_stable_since, self.fault_active,
             self.interruption_active, self.revalidation_required,
             self.compliance_mode, self.exposure_in_progress,
-            self.patient_last_assent,
-            self.ledger.received.get("exposure", {}).get("Radiographer"),
-            frozenset(self.views_acquired), self.session_status,
         )
 
 
@@ -458,10 +455,6 @@ SNAP_INTERRUPTION = 7
 SNAP_REVALIDATION = 8
 SNAP_COMPLIANCE = 9
 SNAP_EXPOSURE_IN_PROGRESS = 10
-SNAP_LAST_ASSENT = 11
-SNAP_R_CONFIRM_EXPOSURE = 12
-SNAP_VIEWS = 13
-SNAP_STATUS = 14
 
 
 @dataclass(frozen=True)

@@ -50,3 +50,10 @@ def json_keys(data, where: str, known) -> dict:
         if key not in known:
             raise ValueError(f"{where} has unknown key {key!r}; known: {', '.join(known)}")
     return data
+
+
+def json_version(data: dict, where: str, expected: str) -> None:
+    """An absent ``schema_version``, or the one this reader's writer emits."""
+    version = data.get("schema_version", expected)
+    if version != expected:
+        raise ValueError(f"{where} schema_version must be {expected!r}, got {version!r}")

@@ -44,10 +44,6 @@ SATISFIED = "Satisfied"
 VIOLATED = "Violated"
 NOT_APPLICABLE = "NotApplicable"
 
-MONITORED_REQUIREMENTS = (
-    "R1", "R8", "R14", "R15", "R16", "R20", "R21", "R23", "R24", "R25", "R26",
-)
-
 
 @dataclass(frozen=True)
 class MonitorVerdict:
@@ -522,6 +518,7 @@ MONITORS = {
     "R25": monitor_r25,
     "R26": monitor_r26,
 }
+MONITORED_REQUIREMENTS = tuple(MONITORS)
 
 
 def evaluate_monitors(trace, config: ExecConfig, requirements=None) -> list[MonitorVerdict]:

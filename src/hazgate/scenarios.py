@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from .executive import Event, ExecConfig
-from .jsoncheck import json_field, json_int, json_list, json_object
+from .jsoncheck import json_field, json_int, json_keys, json_list, json_version
 
 TRANSFORM_FOR_GUIDEWORD = {
     "Omission": "Drop",
@@ -32,6 +32,7 @@ OUTCOME_SAFE_COMPLETION = "SafeCompletion"
 OUTCOME_BLOCKED_SAFELY = "BlockedSafely"
 OUTCOME_VIOLATION = "ViolationExpected"
 EXPECTED_OUTCOMES = (OUTCOME_SAFE_COMPLETION, OUTCOME_BLOCKED_SAFELY, OUTCOME_VIOLATION)
+SCENARIO_SCHEMA = "scenario/1"
 
 
 class InjectionError(ValueError):
@@ -80,6 +81,7 @@ class Selector:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Selector":
+        json_keys(data, "selector", ("kind", "ordinal", "t_min", "t_max", "action"))
         kind = json_field(data, "kind", "selector")
         bounds = {key: data.get(key) for key in ("ordinal", "t_min", "t_max")}
         for key, value in bounds.items():
@@ -116,6 +118,8 @@ class Injection:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Injection":
+        json_keys(data, "injection", ("target", "transform", "source_ref", "delta_ms", "event",
+                                      "payload_field", "mutation"))
         return cls(
             target=Selector.from_json_dict(json_field(data, "target", "injection")),
             transform=json_field(data, "transform", "injection"),
@@ -211,7 +215,7 @@ class Scenario:
 
     def to_json_dict(self) -> dict:
         out = {
-            "schema_version": "scenario/1",
+            "schema_version": SCENARIO_SCHEMA,
             "name": self.name,
             "seed": self.seed,
             "expected_outcome": {"kind": self.expected_outcome},
@@ -224,10 +228,14 @@ class Scenario:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Scenario":
+        json_keys(data, "scenario", ("schema_version", "name", "seed", "expected_outcome",
+                                     "base_timeline", "injections"))
+        json_version(data, "scenario", SCENARIO_SCHEMA)
         name = json_field(data, "name", "scenario")
         if not isinstance(name, str) or not name:
             raise ValueError(f"scenario name must be a non-empty string, got {name!r}")
-        outcome = json_object(data.get("expected_outcome", {}), "scenario expected_outcome")
+        outcome = json_keys(data.get("expected_outcome", {}), "scenario expected_outcome",
+                            ("kind", "requirement"))
         kind = outcome.get("kind", OUTCOME_SAFE_COMPLETION)
         if kind not in EXPECTED_OUTCOMES:
             raise ValueError(f"scenario expected_outcome kind must be one of "

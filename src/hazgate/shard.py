@@ -7,15 +7,22 @@ logical gateway manifests as a missing or wrong decision rather than a
 distinct timing hazard.  Per-node overrides (with mandatory justification)
 record where judgement departed from the defaults; hazard levels are
 analyst-assigned data and are never recomputed here.
+
+Every catalog row, here and in :mod:`hazgate.stpa`, goes through one loader,
+:func:`load_records`.  It builds each record from its dataclass's fields and
+rejects, naming the file and row, a missing, null or unknown column, a value
+outside its column's allowed values or id pattern, and a repeated key.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .jsoncheck import json_field, json_keys, json_list, json_names, json_object
 from .model import KIND_ACTION, KIND_DECISION, Node, ProcessModel, normalize_label
 
 GUIDEWORDS = ("Omission", "Commission", "Early", "Late", "Value")
@@ -57,14 +64,12 @@ DEFAULT_APPLICABILITY = {
 STATUS_PENDING = "Pending"
 STATUS_FILLED = "Filled"
 
-CATALOG_COLUMNS = [
-    "node", "guideword", "deviation", "causes", "effects", "detection",
-    "recommendation", "hazard_level",
-]
+# the one column read into a field of another name (SHARD and UCA catalogs)
+NODE_COLUMN = {"node": "node_label"}
 
 
 class CatalogError(ValueError):
-    """Schema violation in a deviation catalog file."""
+    """Schema violation in a catalog, requirements or trace-links file."""
 
 
 def _ordered_guidewords(words) -> tuple[str, ...]:
@@ -82,7 +87,7 @@ class ApplicabilityRule:
     justifications: dict[str, str] = field(default_factory=dict)
 
     def add_override(self, node_label: str, guidewords, justification: str) -> None:
-        if not justification.strip():
+        if not isinstance(justification, str) or not justification.strip():
             raise ValueError(f"override for {node_label!r} needs a justification")
         unknown = set(guidewords) - set(GUIDEWORDS)
         if unknown:
@@ -93,11 +98,17 @@ class ApplicabilityRule:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ApplicabilityRule":
+        json_keys(data, "rules", ("schema_version", "defaults", "overrides"))
         rule = cls()
-        for kind, words in data.get("defaults", {}).items():
-            rule.defaults[kind] = _ordered_guidewords(words)
-        for label, spec in data.get("overrides", {}).items():
-            rule.add_override(label, spec["guidewords"], spec["justification"])
+        for kind, words in json_object(data.get("defaults", {}), "rules defaults").items():
+            rule.defaults[kind] = _ordered_guidewords(
+                json_names(words, f"rules defaults {kind!r}", GUIDEWORDS))
+        for label, spec in json_object(data.get("overrides", {}), "rules overrides").items():
+            where = f"rules override {label!r}"
+            json_keys(spec, where, ("guidewords", "justification"))
+            rule.add_override(label,
+                              json_names(json_field(spec, "guidewords", where), where, GUIDEWORDS),
+                              json_field(spec, "justification", where))
         return rule
 
     @classmethod
@@ -152,31 +163,63 @@ class DeviationRecord:
         return (normalize_label(self.node_label), self.guideword)
 
 
-def _validate_record(raw: dict, where: str) -> DeviationRecord:
-    missing = [c for c in CATALOG_COLUMNS if c not in raw or raw[c] is None]
-    if missing:
-        raise CatalogError(f"{where}: missing columns {missing}")
-    if raw["guideword"] not in GUIDEWORDS:
-        raise CatalogError(f"{where}: unknown guideword {raw['guideword']!r}")
-    if raw["hazard_level"] not in HAZARD_LEVELS:
-        raise CatalogError(f"{where}: unknown hazard level {raw['hazard_level']!r}")
-    return DeviationRecord(
-        node_label=raw["node"],
-        guideword=raw["guideword"],
-        deviation=raw["deviation"],
-        causes=raw["causes"],
-        effects=raw["effects"],
-        detection=raw["detection"],
-        recommendation=raw["recommendation"],
-        hazard_level=raw["hazard_level"],
-    )
-
-
 def read_csv_rows(path) -> list[dict]:
     """CSV rows as dicts; leading ``#`` comment lines are skipped."""
     with open(path, encoding="utf-8", newline="") as fh:
         lines = [ln for ln in fh if not ln.startswith("#")]
     return list(csv.DictReader(lines))
+
+
+def _check_value(value, column: str, allowed, at: str, kind: str) -> None:
+    if not isinstance(value, str):
+        raise CatalogError(f"{at}: {column} must be text, got {value!r}")
+    if isinstance(allowed, re.Pattern):
+        if not allowed.fullmatch(value):
+            raise CatalogError(f"{at}: bad {kind} {column} {value!r}")
+    elif allowed is not None and value not in allowed:
+        raise CatalogError(f"{at}: unknown {column.replace('_', ' ')} {value!r}; "
+                           f"known: {', '.join(allowed)}")
+
+
+def load_records(rows, record_type, where: str, key, renames=None, enums=None) -> list:
+    """One ``record_type`` per row of a catalog, after the shared schema checks.
+
+    Each dataclass field reads the column of its name, or the column that
+    ``renames`` maps to it.  A column with no field is rejected.  A field
+    typed ``str | None`` may be absent or null; any other column must be
+    present and hold text, or, for a ``frozenset`` field, a non-empty list
+    of texts.  A column in ``enums`` must hold one of its allowed values, or
+    match its id pattern (a compiled regex).  A row whose ``key(record)``
+    repeats an earlier row's is a duplicate.
+    """
+    enums = enums or {}
+    column_of = {name: column for column, name in (renames or {}).items()}
+    schema = [(f.name, column_of.get(f.name, f.name), f.type) for f in fields(record_type)]
+    kind = record_type.__name__.removesuffix("Record").upper()  # what an id pattern names
+    records, seen = [], set()
+    for i, raw in enumerate(rows, start=1):
+        at = f"{where} row {i}"
+        json_keys(raw, at, [column for _, column, _ in schema])
+        values = {}
+        for name, column, annotation in schema:  # annotations are strings here
+            value = raw.get(column)
+            many = annotation.startswith("frozenset")
+            if value is None:
+                if "None" not in annotation:
+                    raise CatalogError(f"{at}: missing column {column!r}")
+            elif many and (not isinstance(value, list) or not value):
+                raise CatalogError(f"{at}: {column} must be a non-empty list, got {value!r}")
+            else:
+                for item in value if many else (value,):
+                    _check_value(item, column, enums.get(column), at, kind)
+            values[name] = frozenset(value) if many else value
+        record = record_type(**values)
+        record_key = key(record)
+        if record_key in seen:
+            raise CatalogError(f"{at}: duplicate record {record_key!r}")
+        seen.add(record_key)
+        records.append(record)
+    return records
 
 
 def load_shard_catalog(path, model: ProcessModel | None = None) -> list[DeviationRecord]:
@@ -188,25 +231,20 @@ def load_shard_catalog(path, model: ProcessModel | None = None) -> list[Deviatio
     path = Path(path)
     if path.suffix == ".json":
         with open(path, encoding="utf-8") as fh:
-            raw_rows = json.load(fh)["records"]
+            rows = json_list(json_field(json.load(fh), "records", path.name),
+                             f"{path.name} records")
     else:
-        raw_rows = read_csv_rows(path)
-
-    records: list[DeviationRecord] = []
-    seen: set[tuple[str, str, str]] = set()
-    for i, raw in enumerate(raw_rows, start=1):
-        rec = _validate_record(raw, f"{path.name} row {i}")
-        triple = (normalize_label(rec.node_label), rec.guideword, rec.deviation)
-        if triple in seen:
-            raise CatalogError(f"{path.name} row {i}: duplicate record {triple}")
-        seen.add(triple)
-        records.append(rec)
-
+        rows = read_csv_rows(path)
+    records = load_records(
+        rows, DeviationRecord, path.name, lambda rec: (*rec.key(), rec.deviation),
+        renames=NODE_COLUMN, enums={"guideword": GUIDEWORDS, "hazard_level": HAZARD_LEVELS},
+    )
     if model is not None:
         labels = {normalize_label(n.label) for n in model.nodes}
-        for rec in records:
+        for i, rec in enumerate(records, start=1):
             if normalize_label(rec.node_label) not in labels:
-                raise CatalogError(f"unresolvable node label {rec.node_label!r}")
+                raise CatalogError(f"{path.name} row {i}: unresolvable node label "
+                                   f"{rec.node_label!r}")
     return records
 
 

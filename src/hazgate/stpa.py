@@ -7,6 +7,13 @@ unsafe control actions are generated in four fixed categories for every
 control action; the shipped catalogs carry the analysed findings (UCA01..35,
 role-tagged R/P and mapped to process nodes, plus the cross-cutting common
 user errors CUE01..07).
+
+The UCA and CUE catalogs, the requirements registry and the trace links are
+read through the SHARD catalog's loader, :func:`hazgate.shard.load_records`.
+It rejects, naming the file and row, a missing, null or unknown column, a
+value outside its column's enumeration (UCA/CUE id pattern, role, category,
+hazard level, methodology, and a link's kind, relation and source) and a
+duplicate id or link.
 """
 
 from __future__ import annotations
@@ -14,10 +21,12 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
+from .jsoncheck import json_field, json_list, json_object
 from .model import Node, normalize_label
-from .shard import HAZARD_LEVELS, CatalogError, DeviationRecord, read_csv_rows
+from .shard import HAZARD_LEVELS, NODE_COLUMN, DeviationRecord, load_records, read_csv_rows
 
 UCA_CATEGORIES = (
     "NotProvided",
@@ -28,8 +37,8 @@ UCA_CATEGORIES = (
 
 ROLES = ("R", "P")  # radiographer / patient
 
-_UCA_ID = re.compile(r"^UCA\d{2}$")
-_CUE_ID = re.compile(r"^CUE0[1-7]$")
+_UCA_ID = re.compile(r"UCA\d{2}")
+_CUE_ID = re.compile(r"CUE0[1-7]")
 
 
 @dataclass(frozen=True)
@@ -153,49 +162,20 @@ class CueRecord:
     hazard_level: str
 
 
-def _check(cond: bool, where: str, message: str) -> None:
-    if not cond:
-        raise CatalogError(f"{where}: {message}")
+_record_id = attrgetter("id")
 
 
 def load_uca_catalog(path) -> list[UcaRecord]:
-    records: list[UcaRecord] = []
-    seen: set[str] = set()
-    for i, raw in enumerate(read_csv_rows(path), start=1):
-        where = f"{Path(path).name} row {i}"
-        _check(bool(_UCA_ID.match(raw.get("id", ""))), where, f"bad UCA id {raw.get('id')!r}")
-        _check(raw["id"] not in seen, where, f"duplicate id {raw['id']}")
-        _check(raw.get("role") in ROLES, where, f"role must be R or P, got {raw.get('role')!r}")
-        _check(raw.get("category") in UCA_CATEGORIES, where,
-               f"unknown category {raw.get('category')!r}")
-        _check(raw.get("hazard_level") in HAZARD_LEVELS, where,
-               f"unknown hazard level {raw.get('hazard_level')!r}")
-        seen.add(raw["id"])
-        records.append(UcaRecord(
-            id=raw["id"], node_label=raw["node"], role=raw["role"],
-            category=raw["category"], causes=raw["causes"], effects=raw["effects"],
-            detection=raw["detection"], recommendation=raw["recommendation"],
-            hazard_level=raw["hazard_level"],
-        ))
-    return records
+    return load_records(
+        read_csv_rows(path), UcaRecord, Path(path).name, _record_id, renames=NODE_COLUMN,
+        enums={"id": _UCA_ID, "role": ROLES, "category": UCA_CATEGORIES,
+               "hazard_level": HAZARD_LEVELS},
+    )
 
 
 def load_cue_catalog(path) -> list[CueRecord]:
-    records: list[CueRecord] = []
-    seen: set[str] = set()
-    for i, raw in enumerate(read_csv_rows(path), start=1):
-        where = f"{Path(path).name} row {i}"
-        _check(bool(_CUE_ID.match(raw.get("id", ""))), where, f"bad CUE id {raw.get('id')!r}")
-        _check(raw["id"] not in seen, where, f"duplicate id {raw['id']}")
-        _check(raw.get("hazard_level") in HAZARD_LEVELS, where,
-               f"unknown hazard level {raw.get('hazard_level')!r}")
-        seen.add(raw["id"])
-        records.append(CueRecord(
-            id=raw["id"], description=raw["description"], causes=raw["causes"],
-            effects=raw["effects"], detection=raw["detection"],
-            recommendation=raw["recommendation"], hazard_level=raw["hazard_level"],
-        ))
-    return records
+    return load_records(read_csv_rows(path), CueRecord, Path(path).name, _record_id,
+                        enums={"id": _CUE_ID, "hazard_level": HAZARD_LEVELS})
 
 
 def cue_applicability(cue: CueRecord, node: Node) -> bool:
@@ -207,7 +187,6 @@ def cue_applicability(cue: CueRecord, node: Node) -> bool:
 # Requirements registry and traceability
 # ---------------------------------------------------------------------------
 
-REQUIREMENT_IDS = tuple(f"R{i}" for i in range(1, 28))
 CATEGORIES = ("Functional", "Safety", "HRI", "Additional")
 METHODOLOGIES = ("SHARD", "STPA")
 
@@ -222,22 +201,21 @@ class RequirementSpec:
     monitor_binding: str
 
 
-def load_requirements(path) -> list[RequirementSpec]:
+def _read_json_field(path, key: str) -> tuple:
+    """The value under ``key`` of the JSON object in ``path``, and the file name."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    specs: list[RequirementSpec] = []
-    for raw in data["requirements"]:
-        if raw["category"] not in CATEGORIES:
-            raise CatalogError(f"{raw['id']}: unknown category {raw['category']!r}")
-        meth = frozenset(raw["methodology"])
-        if not meth or not meth <= set(METHODOLOGIES):
-            raise CatalogError(f"{raw['id']}: bad methodology {sorted(meth)}")
-        specs.append(RequirementSpec(
-            id=raw["id"], text=raw["text"], refined=raw.get("refined"),
-            category=raw["category"], methodology=meth,
-            monitor_binding=raw["monitor_binding"],
-        ))
-    return specs
+        return json_field(json.load(fh), key, Path(path).name), Path(path).name
+
+
+def load_requirements(path) -> list[RequirementSpec]:
+    rows, name = _read_json_field(path, "requirements")
+    return load_records(json_list(rows, f"{name} requirements"), RequirementSpec, name,
+                        _record_id, enums={"category": CATEGORIES, "methodology": METHODOLOGIES})
+
+
+_METHOD_FOR_KIND = {"shard": "SHARD", "uca": "STPA", "cue": "STPA"}
+RELATIONS = ("derivesFrom", "mitigates")
+LINK_SOURCES = ("stated", "inferred")
 
 
 @dataclass(frozen=True)
@@ -250,19 +228,17 @@ class TraceLink:
 
 
 def load_trace_links(path) -> list[TraceLink]:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    links: list[TraceLink] = []
-    for rid, entries in data["links"].items():
-        for entry in entries:
-            links.append(TraceLink(
-                requirement=rid, kind=entry["kind"], ref=entry["ref"],
-                relation=entry["relation"], source=entry["source"],
-            ))
-    return links
-
-
-_METHOD_FOR_KIND = {"shard": "SHARD", "uca": "STPA", "cue": "STPA"}
+    """One row per link: the links listed under each requirement id."""
+    links, name = _read_json_field(path, "links")
+    rows = [
+        {**json_object(entry, f"{name} links {rid!r}"), "requirement": rid}
+        for rid, entries in json_object(links, f"{name} links").items()
+        for entry in json_list(entries, f"{name} links {rid!r}")
+    ]
+    return load_records(
+        rows, TraceLink, name, lambda ln: (ln.requirement, ln.kind, ln.ref, ln.relation),
+        enums={"kind": tuple(_METHOD_FOR_KIND), "relation": RELATIONS, "source": LINK_SOURCES},
+    )
 
 
 @dataclass
@@ -294,31 +270,27 @@ def trace_to_requirements(
     derivesFrom link of that analysis kind; findings referenced by no
     requirement are reported as residual risks.
     """
-    uca_ids = {u.id for u in ucas}
-    cue_ids = {c.id for c in cues}
-    shard_keys = {
-        (normalize_label(r.node_label), r.guideword) for r in shard_catalog
-    }
-
-    def resolves(link: TraceLink) -> bool:
-        if link.kind == "uca":
-            return link.ref in uca_ids
-        if link.kind == "cue":
-            return link.ref in cue_ids
+    def target(link: TraceLink) -> tuple:
         if link.kind == "shard":
             node, _, word = link.ref.rpartition("/")
-            return (normalize_label(node), word) in shard_keys
-        return False
+            return ("shard", (normalize_label(node), word))
+        return (link.kind, link.ref)
 
+    findings = (  # (target key, residual label) per catalog row
+        [(("uca", u.id), f"uca:{u.id}") for u in ucas]
+        + [(("cue", c.id), f"cue:{c.id}") for c in cues]
+        + [(("shard", r.key()), f"shard:{r.node_label}/{r.guideword}") for r in shard_catalog]
+    )
+    known = {key for key, _ in findings}
     matrix = TraceabilityMatrix(requirements=requirements, links=links)
     by_req: dict[str, list[TraceLink]] = {}
-    referenced: set[str] = set()
+    referenced: set[tuple] = set()
     for link in links:
-        if not resolves(link):
+        if target(link) not in known:
             matrix.broken_refs.append(link)
             continue
         by_req.setdefault(link.requirement, []).append(link)
-        referenced.add(f"{link.kind}:{link.ref}")
+        referenced.add(target(link))
 
     for req in requirements:
         derived = [ln for ln in by_req.get(req.id, []) if ln.relation == "derivesFrom"]
@@ -327,26 +299,12 @@ def trace_to_requirements(
                 matrix.mismatches.append(
                     f"{req.id}: methodology {method} has no derivesFrom finding"
                 )
-        for link in by_req.get(req.id, []):
-            if _METHOD_FOR_KIND[link.kind] not in req.methodology and link.relation == "derivesFrom":
+        for link in derived:
+            if _METHOD_FOR_KIND[link.kind] not in req.methodology:
                 matrix.mismatches.append(
                     f"{req.id}: derivesFrom {link.kind}:{link.ref} outside its methodology tags"
                 )
-
-    referenced_shard = set()
-    for link in links:
-        if link.kind == "shard":
-            node, _, word = link.ref.rpartition("/")
-            referenced_shard.add((normalize_label(node), word))
-    for u in ucas:
-        if f"uca:{u.id}" not in referenced:
-            matrix.residual.append(f"uca:{u.id}")
-    for c in cues:
-        if f"cue:{c.id}" not in referenced:
-            matrix.residual.append(f"cue:{c.id}")
-    for r in shard_catalog:
-        if (normalize_label(r.node_label), r.guideword) not in referenced_shard:
-            matrix.residual.append(f"shard:{r.node_label}/{r.guideword}")
+    matrix.residual = [label for key, label in findings if key not in referenced]
     return matrix
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -137,6 +138,15 @@ def _mutated(path, mutate):
     return data
 
 
+def _json_edit(mutate):
+    """A rewrite of a JSON file's text that applies ``mutate`` to its data."""
+    def rewrite(text):
+        data = json.loads(text)
+        mutate(data)
+        return json.dumps(data)
+    return rewrite
+
+
 class TestMalformedInputs:
     """Malformed input exits 2 with a one-line reason, never 1 with a traceback."""
 
@@ -148,7 +158,14 @@ class TestMalformedInputs:
          "base_timeline[2]: event t must be a non-negative integer"),
         (lambda d: d["base_timeline"][2].update(t=True),
          "event t must be a non-negative integer, got True"),
-    ], ids=["no-name", "text-t", "bool-t"])
+        (lambda d: d.update(injection=d.pop("injections")),
+         "scenario has unknown key 'injection'"),
+        (lambda d: d["base_timeline"][2].update(paylod=d["base_timeline"][2].pop("payload")),
+         "base_timeline[2]: event has unknown key 'paylod'"),
+        (lambda d: d.update(schema_version="scenario/9"),
+         "scenario schema_version must be 'scenario/1', got 'scenario/9'"),
+    ], ids=["no-name", "text-t", "bool-t", "misspelt-injections", "misspelt-payload",
+            "foreign-version"])
     def test_malformed_scenario(self, tmp_path, capsys, mutate, reason):
         bad = tmp_path / "scenario.json"
         bad.write_text(json.dumps(_mutated(self.SCENARIO, mutate)))
@@ -166,7 +183,9 @@ class TestMalformedInputs:
          "names unknown 'Robot'"),
         ("simulate", lambda d: d.update(stabilisation_window_ms=0),
          "config has unknown key 'stabilisation_window_ms'"),
-    ], ids=["text-window", "no-views", "unknown-source", "misspelt-key"])
+        ("simulate", lambda d: d.update(schema_version="exec-config/9"),
+         "config schema_version must be 'exec-config/1', got 'exec-config/9'"),
+    ], ids=["text-window", "no-views", "unknown-source", "misspelt-key", "foreign-version"])
     def test_malformed_config(self, tmp_path, capsys, command, mutate, reason):
         bad = tmp_path / "config.json"
         bad.write_text(json.dumps(_mutated(CONFIG, mutate)))
@@ -175,5 +194,32 @@ class TestMalformedInputs:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert "soundness violations" not in captured.out
+        assert len(captured.err.strip().splitlines()) == 1
+        assert reason in captured.err
+
+    @pytest.mark.parametrize("shipped,rewrite,reason", [
+        ("uca_catalog.csv", lambda text: re.sub(r"(?m)^(\w+),[^,]*,", r"\1,", text),
+         "uca_catalog.csv row 1: missing column 'node'"),
+        ("requirements.json", _json_edit(lambda d: d["requirements"][0].pop("category")),
+         "requirements.json row 1: missing column 'category'"),
+        ("requirements.json", lambda text: json.dumps(json.loads(text)["requirements"]),
+         "requirements.json must be a JSON object, got list"),
+        ("shard_rules.json",
+         _json_edit(lambda d: d["overrides"]["System ready?"].pop("justification")),
+         "rules override 'System ready?' is missing 'justification'"),
+        ("traceability.json", _json_edit(lambda d: d["links"]["R1"][0].update(relation="derives")),
+         "traceability.json row 1: unknown relation 'derives'"),
+    ], ids=["uca-no-node", "requirement-no-category", "requirements-list",
+            "override-no-justification", "link-relation"])
+    def test_malformed_catalog(self, tmp_path, capsys, shipped, rewrite, reason):
+        bad = tmp_path / shipped
+        bad.write_text(rewrite(data_path(shipped).read_text(encoding="utf-8")), encoding="utf-8")
+        stpa = ["stpa-report"] + [str(bad if name == shipped else data_path(name)) for name in
+                                  ("uca_catalog.csv", "cue_catalog.csv", "requirements.json")]
+        argv = {"shard_rules.json": ["shard-report", MODEL, SHARD, "--rules", str(bad)],
+                "traceability.json": stpa + ["--links", str(bad)]}.get(shipped, stpa)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
         assert reason in captured.err

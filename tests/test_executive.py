@@ -60,7 +60,7 @@ class TestInit:
     def test_initial_state(self, mammobot, config):
         _, state = fresh(mammobot, config)
         assert state.current_node == "sys_init"
-        assert state.exposure_locked is True
+        assert not state.exposure_in_progress
         assert state.system_ready is False
         assert len(state.log) == 0
         assert all(not v for v in state.ledger.received.values())

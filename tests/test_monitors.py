@@ -16,6 +16,7 @@ from hazgate.monitors import (
 )
 from hazgate.scenarios import Scenario, nominal_timeline
 from hazgate.simulate import TraceStep, run_events
+from hazgate.stpa import load_requirements
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +55,11 @@ class TestOnNominal:
         assert set(MONITORED_REQUIREMENTS) == {
             "R1", "R8", "R14", "R15", "R16", "R20", "R21", "R23", "R24", "R25", "R26",
         }
+
+    def test_registry_is_the_requirements_monitor_bindings(self):
+        bound = [spec.id for spec in load_requirements(data_path("requirements.json"))
+                 if spec.monitor_binding != "informational"]
+        assert bound == list(MONITORS)
 
 
 class TestStopMonitor:

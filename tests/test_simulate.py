@@ -32,7 +32,9 @@ class TestNominalScenario:
         result = run_scenario(mammobot, config, scenario, executive_enabled=True)
         assert result.outcome == "SafeCompletion"
         assert not result.violated
-        assert result.trace.final_snapshot[13] == frozenset({"CC", "MLO-L", "MLO-R"})
+        completed = [e.details.split()[1] for e in result.trace.log
+                     if e.kind == "exposure" and e.details.startswith("complete ")]
+        assert completed == ["view=CC", "view=MLO-L", "view=MLO-R"]
         ok, why = check_expectation(result)
         assert ok, why
 
