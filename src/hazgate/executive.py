@@ -17,6 +17,11 @@ verdict and its log line together.  Decision guards are read through one
 table, ``_GUARD_SLOTS``, naming the input slot each guard reads and
 consumes; only the live-state guards are written out.
 
+Workflow progression reads one table built per executive: for each node
+its kind, plain successor, completion slot with that slot's value while
+the action is open, guard, and true and false successors.  Events reach
+their handlers through one module-level table, ``_HANDLERS``.
+
 With ``enabled=False`` the same event stream is interpreted permissively:
 stops and faults are logged but not acted upon, gates always allow, and
 windows/ledgers are not enforced.  This is the unprotected baseline that
@@ -30,7 +35,7 @@ from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 from .jsoncheck import json_field, json_int, json_keys, json_names, json_object, json_version
-from .model import KIND_ACTION, KIND_FINAL, KIND_INITIAL, ProcessModel, normalize_label
+from .model import KIND_ACTION, KIND_DECISION, KIND_FINAL, ProcessModel, normalize_label
 
 SOURCES = ("Radiographer", "Patient", "Sensor", "System")
 
@@ -198,10 +203,12 @@ class Event:
 class ConfirmationLedger:
     """Multi-source confirmations per safety-critical action, with freshness."""
 
-    __slots__ = ("required", "staleness_ms", "received")
+    __slots__ = ("required", "layout", "staleness_ms", "received")
 
     def __init__(self, required: dict, staleness_ms: int):
         self.required = {k: tuple(v) for k, v in required.items()}
+        # every required (action, source) pair, actions in sorted order
+        self.layout = tuple([(a, s) for a in sorted(self.required) for s in self.required[a]])
         self.staleness_ms = staleness_ms
         self.received: dict[str, dict[str, int]] = {k: {} for k in self.required}
 
@@ -230,6 +237,7 @@ class ConfirmationLedger:
     def copy(self) -> "ConfirmationLedger":
         dup = ConfirmationLedger.__new__(ConfirmationLedger)
         dup.required = self.required  # never mutated after __init__
+        dup.layout = self.layout
         dup.staleness_ms = self.staleness_ms
         dup.received = {k: dict(v) for k, v in self.received.items()}
         return dup
@@ -552,27 +560,33 @@ class SafetyExecutive:
         self.config = config
         self.enabled = enabled
         self.transition_hook = None  # callable(node_id, clock); tests/sweeps only
-        self._nodes = {n.id: n for n in model.nodes}
-        self._roles = {n.id: _label_role(n.label) for n in model.nodes}
-        self._edges_true: dict[str, str] = {}
-        self._edges_false: dict[str, str] = {}
-        self._edge_plain: dict[str, str] = {}
+        # each session's ledger is a copy of this one, which is never itself
+        # written, so sessions share only its required pairs and their layout
+        self._ledger = ConfirmationLedger(
+            config.ledger_requirements, config.confirmation_staleness_ms
+        )
+        successors = {None: {}, True: {}, False: {}}  # edge polarity -> src -> dst
         for e in model.edges:
-            if e.guard_value is True:
-                self._edges_true[e.src] = e.dst
-            elif e.guard_value is False:
-                self._edges_false[e.src] = e.dst
-            else:
-                self._edge_plain[e.src] = e.dst
+            successors[e.guard_value][e.src] = e.dst
+        plain, if_true, if_false = successors.values()
+        self._nodes = {}
+        self._roles = {}
+        # the progression table, all that _progress reads: node id -> (kind,
+        # plain successor, completion slot, its open value, guard, true
+        # successor, false successor)
+        self._steps = {}
+        for n in model.nodes:
+            self._nodes[n.id] = n
+            self._roles[n.id] = role = _label_role(n.label)
+            slot, open_value = _COMPLETION_SLOTS.get(role, ("generic_advance", False))
+            self._steps[n.id] = (n.kind, plain.get(n.id), slot, open_value, n.guard,
+                                 if_true.get(n.id), if_false.get(n.id))
         self._role_nodes = {role: nid for nid, role in self._roles.items() if role != "generic"}
 
     # -- lifecycle ----------------------------------------------------------
 
     def init_state(self) -> ExecState:
-        ledger = ConfirmationLedger(
-            self.config.ledger_requirements, self.config.confirmation_staleness_ms
-        )
-        state = ExecState(self.model.initial, ledger)
+        state = ExecState(self.model.initial, self._ledger.copy())
         # construction-time settle onto the first action is not a session step
         self._progress(state, [], [])
         state.log = SessionLog()
@@ -630,9 +644,9 @@ class SafetyExecutive:
         state.posture_stable_since = None
 
     def _maybe_complete_revalidation(self, state: ExecState) -> None:
+        """Clear a pending revalidation once its three conditions hold."""
         if (
-            state.revalidation_required
-            and state.posture_valid
+            state.posture_valid
             and state.trajectory_valid
             and state.assent_fresh(state.clock, self.config.confirmation_staleness_ms)
         ):
@@ -711,9 +725,9 @@ class SafetyExecutive:
         state.clock = event.timestamp
         emitted: list[str] = []
         verdicts: list[StepVerdict] = []
-        handler = getattr(self, "_on_" + event.kind)
-        handler(state, event, emitted, verdicts)
-        self._maybe_complete_revalidation(state)
+        _HANDLERS[event.kind](self, state, event, emitted, verdicts)
+        if state.revalidation_required:
+            self._maybe_complete_revalidation(state)
         self._progress(state, emitted, verdicts)
         return StepResult(state, emitted, verdicts)
 
@@ -938,10 +952,6 @@ class SafetyExecutive:
 
     # -- graph progression ----------------------------------------------------
 
-    def _action_complete(self, state: ExecState, node_id: str) -> bool:
-        slot, open_value = _COMPLETION_SLOTS.get(self._role(node_id), ("generic_advance", False))
-        return getattr(state, slot) is not open_value
-
     def _take_guard(self, state: ExecState, guard: str) -> bool | None:
         """Value of a decision guard; a decided input slot or generic decision
         is consumed by the read, a live-state guard is not."""
@@ -972,8 +982,7 @@ class SafetyExecutive:
         if self.transition_hook is not None:
             self.transition_hook(node_id, state.clock)
         if node.kind == KIND_ACTION:
-            role = self._role(node_id)
-            if role in ("motion", "adjust"):
+            if self._roles[node_id] in ("motion", "adjust"):
                 state.motion_done = False
             state.generic_advance = False
             state.log.append(state.clock, "stageTransition", node.actor_mode or "A",
@@ -987,49 +996,40 @@ class SafetyExecutive:
     def _progress(self, state: ExecState, emitted: list[str], verdicts: list[StepVerdict]) -> None:
         if self._frozen(state):
             return
-        steps = 0
-        while steps < self.config.step_cap:
-            steps += 1
-            node = self._nodes[state.current_node]
-            if node.kind == KIND_INITIAL:
-                nxt = self._edge_plain.get(node.id)
-                if nxt is None:
+        steps = self._steps
+        for _ in range(self.config.step_cap):
+            kind, nxt, slot, open_value, guard, if_true, if_false = steps[state.current_node]
+            if kind == KIND_DECISION:
+                value = self._take_guard(state, guard)
+                if value is None:
                     return
-                self._enter(state, nxt, verdicts)
-                continue
-            if node.kind == KIND_FINAL:
-                return
-            if node.kind == KIND_ACTION:
-                if not self._action_complete(state, node.id):
+                if (
+                    guard == "retakeNeeded"
+                    and value
+                    and state.retake_count.get(state.current_view or "", 0)
+                    > self.config.max_retakes_per_view
+                ):
+                    verdicts.append(StepVerdict(
+                        "forced-abandon", "retakeBound", None,
+                        f"retake bound exceeded for {state.current_view}",
+                    ))
+                    state.log.append(state.clock, "abandon", "System", "retake bound exceeded")
+                    state.session_status = STATUS_ABANDONED
+                    release_node = self._role_nodes.get("release")
+                    if release_node is not None:
+                        self._enter(state, release_node, verdicts)
+                        self._try_release(state, emitted, verdicts, safe_path=True)
                     return
-                nxt = self._edge_plain.get(node.id)
-                if nxt is None:
-                    return
-                self._enter(state, nxt, verdicts)
-                continue
-            # decision
-            value = self._take_guard(state, node.guard)
-            if value is None:
-                return
-            if (
-                node.guard == "retakeNeeded"
-                and value
-                and state.retake_count.get(state.current_view or "", 0)
-                > self.config.max_retakes_per_view
-            ):
-                verdicts.append(StepVerdict(
-                    "forced-abandon", "retakeBound", None,
-                    f"retake bound exceeded for {state.current_view}",
-                ))
-                state.log.append(state.clock, "abandon", "System", "retake bound exceeded")
-                state.session_status = STATUS_ABANDONED
-                release_node = self._role_nodes.get("release")
-                if release_node is not None:
-                    self._enter(state, release_node, verdicts)
-                    self._try_release(state, emitted, verdicts, safe_path=True)
-                return
-            nxt = self._edges_true[node.id] if value else self._edges_false[node.id]
+                nxt = if_true if value else if_false
+            elif kind == KIND_FINAL or nxt is None or (
+                    kind == KIND_ACTION and getattr(state, slot) is open_value):
+                return  # the initial node and a completed action take their plain edge
             self._enter(state, nxt, verdicts)
+
+
+# event kind -> its handler, a function of the class called with the
+# executive; one shared table, not bound methods held by each executive
+_HANDLERS = {kind: getattr(SafetyExecutive, "_on_" + kind) for kind in EVENT_KINDS}
 
 
 def init_executive(model: ProcessModel, config: ExecConfig, enabled: bool = True) -> tuple[SafetyExecutive, ExecState]:

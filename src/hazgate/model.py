@@ -35,6 +35,7 @@ KIND_ACTION = "Action"
 KIND_DECISION = "Decision"
 KIND_INITIAL = "Initial"
 KIND_FINAL = "Final"
+NODE_KINDS = (KIND_ACTION, KIND_DECISION, KIND_INITIAL, KIND_FINAL)
 
 
 class ParseError(ValueError):

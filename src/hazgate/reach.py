@@ -20,7 +20,8 @@ state is optionally cross-checked by replaying its witness path through the
 plain scenario runner and comparing both the resulting abstract state and
 the exposure-interlock monitor verdict against the search's own
 classification.
-Each witness is replayed from the initial state through a freshly built
+One replay executive, built apart from the search's, serves the whole
+cross-check.  Each witness is replayed from a fresh ``init_state()`` of that
 executive, sharing no prefix and no search state, precisely so that a
 faulty branch copy shows up as a disagreement.
 """
@@ -94,13 +95,8 @@ def stimuli_for(alphabet) -> list[tuple[str, dict]]:
 
 def abstract_key(state: ExecState, config: ExecConfig) -> tuple:
     now = state.clock
-    required = state.ledger.required
     received = state.ledger.received
-    ledger_bits = tuple([
-        source in received.get(action, ())
-        for action in sorted(required)
-        for source in required[action]
-    ])
+    ledger_bits = tuple([source in received[action] for action, source in state.ledger.layout])
     stab = (
         state.posture_stable_since is not None
         and now - state.posture_stable_since >= config.stabilization_window_ms
@@ -153,10 +149,11 @@ class ReachabilityResult:
         }
 
 
-def _replay(model: ProcessModel, config: ExecConfig, events, enabled: bool):
-    executive = SafetyExecutive(model, config, enabled=enabled)
+def _replay(model: ProcessModel, config: ExecConfig, events, executive: SafetyExecutive):
+    """Run ``events`` through ``executive``, built from ``model`` and
+    ``config``, from a fresh initial state."""
     state = executive.init_state()
-    trace = Trace(executive_enabled=enabled)
+    trace = Trace(executive_enabled=executive.enabled)
     for event in events:
         result = executive.handle_event(state, event)
         trace.steps.append(
@@ -183,7 +180,12 @@ def brute_force_reachability(
         raise ValueError(f"reach depth must be >= 0, got {max_depth}")
     reach_config = replace(config, confirmation_staleness_ms=REACH_STALENESS_MS)
     executive = SafetyExecutive(model, reach_config, enabled=executive_enabled)
-    stimuli = stimuli_for(alphabet)
+    # (kind, source, payload, clock delay) per stimulus
+    stimuli = [
+        (kind, _KIND_SOURCE[kind], payload,
+         reach_config.stabilization_window_ms if kind == "tick" else 0)
+        for kind, payload in stimuli_for(alphabet)
+    ]
 
     initial = executive.init_state()
     visited = {abstract_key(initial, reach_config)}
@@ -203,11 +205,9 @@ def brute_force_reachability(
         result.depth_reached = depth
         next_frontier: list[tuple[ExecState, list[Event], bool]] = []
         for state, path, path_unsafe in frontier:
-            for kind, payload in stimuli:
-                clock = state.clock + (
-                    reach_config.stabilization_window_ms if kind == "tick" else 0
-                )
-                event = Event(clock, _KIND_SOURCE[kind], kind, dict(payload))
+            for kind, source, payload, delay in stimuli:
+                clock = state.clock + delay
+                event = Event(clock, source, kind, dict(payload))
                 branch = state.branch()
                 step = executive.handle_event(branch, event)
                 result.transitions += 1
@@ -264,11 +264,15 @@ def brute_force_reachability(
 
 
 def _cross_check(model, reach_config, enabled, witnesses, result) -> None:
-    """Replay each witness path through the scenario runner and compare."""
+    """Replay each witness path through the scenario runner and compare.
+
+    One replay executive, not the search's, serves every witness; each
+    replay starts from that executive's fresh initial state."""
+    executive = SafetyExecutive(model, reach_config, enabled=enabled)
     for path, key, unsafe in witnesses:
         if not path:
             continue
-        trace, final_state = _replay(model, reach_config, path, enabled)
+        trace, final_state = _replay(model, reach_config, path, executive)
         result.cross_checked += 1
         if key is not None:
             replay_key = abstract_key(final_state, reach_config)

@@ -199,6 +199,9 @@ def build_stpa_bundle(ucas, cues, requirements, matrix: TraceabilityMatrix,
     if matrix.mismatches:
         bundle.add_table("methodology mismatches", ["finding"],
                          [[m] for m in matrix.mismatches])
+    if matrix.broken_refs:
+        bundle.add_table("broken references", ["requirement", "link"],
+                         [[ln.requirement, f"{ln.kind}:{ln.ref}"] for ln in matrix.broken_refs])
     bundle.add_keyvalues("residual findings (not linked to any requirement)", {
         "count": len(matrix.residual),
         "refs": ", ".join(matrix.residual[:12]) + ("..." if len(matrix.residual) > 12 else ""),

@@ -22,8 +22,8 @@ import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .jsoncheck import json_field, json_keys, json_list, json_names, json_object
-from .model import KIND_ACTION, KIND_DECISION, Node, ProcessModel, normalize_label
+from .jsoncheck import json_field, json_keys, json_list, json_names, json_object, json_version
+from .model import KIND_ACTION, KIND_DECISION, NODE_KINDS, Node, ProcessModel, normalize_label
 
 GUIDEWORDS = ("Omission", "Commission", "Early", "Late", "Value")
 
@@ -99,8 +99,10 @@ class ApplicabilityRule:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ApplicabilityRule":
         json_keys(data, "rules", ("schema_version", "defaults", "overrides"))
+        json_version(data, "rules", "shard-rules/1")
         rule = cls()
-        for kind, words in json_object(data.get("defaults", {}), "rules defaults").items():
+        for kind, words in json_keys(data.get("defaults", {}), "rules defaults",
+                                     NODE_KINDS).items():
             rule.defaults[kind] = _ordered_guidewords(
                 json_names(words, f"rules defaults {kind!r}", GUIDEWORDS))
         for label, spec in json_object(data.get("overrides", {}), "rules overrides").items():
@@ -161,6 +163,19 @@ class DeviationRecord:
 
     def key(self) -> tuple[str, str]:
         return (normalize_label(self.node_label), self.guideword)
+
+
+def read_json_field(path, key: str, version: str) -> tuple:
+    """The value under ``key`` of a catalog JSON file, and the file name.
+
+    The file holds one object with ``key`` and an optional ``schema_version``,
+    which must be ``version``; any other key is rejected.
+    """
+    name = Path(path).name
+    with open(path, encoding="utf-8") as fh:
+        data = json_keys(json.load(fh), name, ("schema_version", key))
+    json_version(data, name, version)
+    return json_field(data, key, name), name
 
 
 def read_csv_rows(path) -> list[dict]:
@@ -230,9 +245,8 @@ def load_shard_catalog(path, model: ProcessModel | None = None) -> list[Deviatio
     """
     path = Path(path)
     if path.suffix == ".json":
-        with open(path, encoding="utf-8") as fh:
-            rows = json_list(json_field(json.load(fh), "records", path.name),
-                             f"{path.name} records")
+        rows, _ = read_json_field(path, "records", "shard-catalog/1")
+        rows = json_list(rows, f"{path.name} records")
     else:
         rows = read_csv_rows(path)
     records = load_records(

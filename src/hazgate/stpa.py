@@ -18,15 +18,21 @@ duplicate id or link.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
 
-from .jsoncheck import json_field, json_list, json_object
+from .jsoncheck import json_list, json_object
 from .model import Node, normalize_label
-from .shard import HAZARD_LEVELS, NODE_COLUMN, DeviationRecord, load_records, read_csv_rows
+from .shard import (
+    HAZARD_LEVELS,
+    NODE_COLUMN,
+    DeviationRecord,
+    load_records,
+    read_csv_rows,
+    read_json_field,
+)
 
 UCA_CATEGORIES = (
     "NotProvided",
@@ -201,14 +207,8 @@ class RequirementSpec:
     monitor_binding: str
 
 
-def _read_json_field(path, key: str) -> tuple:
-    """The value under ``key`` of the JSON object in ``path``, and the file name."""
-    with open(path, encoding="utf-8") as fh:
-        return json_field(json.load(fh), key, Path(path).name), Path(path).name
-
-
 def load_requirements(path) -> list[RequirementSpec]:
-    rows, name = _read_json_field(path, "requirements")
+    rows, name = read_json_field(path, "requirements", "requirements/1")
     return load_records(json_list(rows, f"{name} requirements"), RequirementSpec, name,
                         _record_id, enums={"category": CATEGORIES, "methodology": METHODOLOGIES})
 
@@ -229,7 +229,7 @@ class TraceLink:
 
 def load_trace_links(path) -> list[TraceLink]:
     """One row per link: the links listed under each requirement id."""
-    links, name = _read_json_field(path, "links")
+    links, name = read_json_field(path, "links", "traceability/1")
     rows = [
         {**json_object(entry, f"{name} links {rid!r}"), "requirement": rid}
         for rid, entries in json_object(links, f"{name} links").items()
@@ -268,7 +268,8 @@ def trace_to_requirements(
 
     A requirement tagged with a methodology must have at least one resolvable
     derivesFrom link of that analysis kind; findings referenced by no
-    requirement are reported as residual risks.
+    requirement are reported as residual risks.  A link is broken when its
+    finding is not in the catalogs or its requirement not in the registry.
     """
     def target(link: TraceLink) -> tuple:
         if link.kind == "shard":
@@ -282,11 +283,12 @@ def trace_to_requirements(
         + [(("shard", r.key()), f"shard:{r.node_label}/{r.guideword}") for r in shard_catalog]
     )
     known = {key for key, _ in findings}
+    registered = {req.id for req in requirements}
     matrix = TraceabilityMatrix(requirements=requirements, links=links)
     by_req: dict[str, list[TraceLink]] = {}
     referenced: set[tuple] = set()
     for link in links:
-        if target(link) not in known:
+        if target(link) not in known or link.requirement not in registered:
             matrix.broken_refs.append(link)
             continue
         by_req.setdefault(link.requirement, []).append(link)

@@ -64,6 +64,22 @@ class TestStpaReport:
         body = json.loads(out.read_text())
         assert body["clean"] is True
 
+    def test_link_under_unregistered_requirement_exits_one(self, tmp_path):
+        links = tmp_path / "traceability.json"
+        links.write_text(json.dumps(_mutated(data_path("traceability.json"), lambda d: d[
+            "links"].update(R99=[{"kind": "uca", "ref": "UCA01", "relation": "derivesFrom",
+                                  "source": "stated"}]))))
+        out = tmp_path / "stpa.json"
+        code = main([
+            "stpa-report", str(data_path("uca_catalog.csv")),
+            str(data_path("cue_catalog.csv")), str(data_path("requirements.json")),
+            "--links", str(links), "--format", "json", "-o", str(out),
+        ])
+        assert code == 1
+        body = json.loads(out.read_text())
+        assert body["clean"] is False
+        assert "R99" in out.read_text()
+
 
 class TestSimulate:
     def test_protected_uca28_exits_zero(self, capsys):
@@ -209,14 +225,30 @@ class TestMalformedInputs:
          "rules override 'System ready?' is missing 'justification'"),
         ("traceability.json", _json_edit(lambda d: d["links"]["R1"][0].update(relation="derives")),
          "traceability.json row 1: unknown relation 'derives'"),
+        ("shard_catalog.json", _json_edit(lambda d: d.update(schema_version="shard-catalog/9")),
+         "shard_catalog.json schema_version must be 'shard-catalog/1', got 'shard-catalog/9'"),
+        ("requirements.json", _json_edit(lambda d: d.update(schema_version="requirements/9")),
+         "requirements.json schema_version must be 'requirements/1', got 'requirements/9'"),
+        ("traceability.json", _json_edit(lambda d: d.update(schema_version="traceability/9")),
+         "traceability.json schema_version must be 'traceability/1', got 'traceability/9'"),
+        ("shard_rules.json", _json_edit(lambda d: d.update(schema_version="shard-rules/9")),
+         "rules schema_version must be 'shard-rules/1', got 'shard-rules/9'"),
+        ("requirements.json", _json_edit(lambda d: d.update(notes="draft")),
+         "requirements.json has unknown key 'notes'"),
+        ("shard_rules.json",
+         _json_edit(lambda d: d["defaults"].update(Actoin=d["defaults"].pop("Action"))),
+         "rules defaults has unknown key 'Actoin'"),
     ], ids=["uca-no-node", "requirement-no-category", "requirements-list",
-            "override-no-justification", "link-relation"])
+            "override-no-justification", "link-relation", "catalog-foreign-version",
+            "requirements-foreign-version", "links-foreign-version", "rules-foreign-version",
+            "requirements-unknown-key", "misspelt-node-kind"])
     def test_malformed_catalog(self, tmp_path, capsys, shipped, rewrite, reason):
         bad = tmp_path / shipped
         bad.write_text(rewrite(data_path(shipped).read_text(encoding="utf-8")), encoding="utf-8")
         stpa = ["stpa-report"] + [str(bad if name == shipped else data_path(name)) for name in
                                   ("uca_catalog.csv", "cue_catalog.csv", "requirements.json")]
         argv = {"shard_rules.json": ["shard-report", MODEL, SHARD, "--rules", str(bad)],
+                "shard_catalog.json": ["shard-report", MODEL, str(bad)],
                 "traceability.json": stpa + ["--links", str(bad)]}.get(shipped, stpa)
         assert main(argv) == 2
         captured = capsys.readouterr()

@@ -124,18 +124,53 @@ class TestConstruction:
     def test_tables_match_direct_recomputation(self, mammobot, config):
         roles = {n.id: _NODE_ROLES.get(normalize_label(n.label), "generic")
                  for n in mammobot.nodes}
-        by_polarity = {
-            value: {e.src: e.dst for e in mammobot.edges if e.guard_value is value}
-            for value in (True, False, None)
+        # node id -> (kind, plain successor, completion slot, its open value,
+        # guard, true successor, false successor), written out by hand
+        steps = {
+            "start": ("Initial", "sys_init", "generic_advance", False, None, None, None),
+            "sys_init": ("Action", "system_ready", "self_test_result", None, None, None, None),
+            "system_ready": ("Decision", None, "generic_advance", False, "systemReady",
+                             "identify_stage", "sys_init"),
+            "identify_stage": ("Action", "stage_identified", "stage_result", None, None, None,
+                               None),
+            "stage_identified": ("Decision", None, "generic_advance", False,
+                                 "processStageIdentified", "determine_posture",
+                                 "identify_stage"),
+            "determine_posture": ("Action", "posture_detected", "posture_result", None, None,
+                                  None, None),
+            "posture_detected": ("Decision", None, "generic_advance", False, "postureDetected",
+                                 "plan_trajectory", "determine_posture"),
+            "plan_trajectory": ("Action", "trajectory_valid", "plan_result", None, None, None,
+                                None),
+            "trajectory_valid": ("Decision", None, "generic_advance", False, "trajectoryValid",
+                                 "position_arms", "plan_trajectory"),
+            "position_arms": ("Action", "fault_detected", "motion_done", False, None, None, None),
+            "fault_detected": ("Decision", None, "generic_advance", False, "faultDetected",
+                               "release_patient", "hri_interruption"),
+            "hri_interruption": ("Decision", None, "generic_advance", False, "interruptionHRI",
+                                 "release_patient", "patient_ok"),
+            "patient_ok": ("Decision", None, "generic_advance", False, "patientOK",
+                           "adjustments_needed", "release_patient"),
+            "adjustments_needed": ("Decision", None, "generic_advance", False,
+                                   "adjustmentsNeeded", "perform_adjustments", "capture_xray"),
+            "perform_adjustments": ("Action", "capture_xray", "motion_done", False, None, None,
+                                    None),
+            "capture_xray": ("Action", "retake_needed", "retake_result", None, None, None, None),
+            "retake_needed": ("Decision", None, "generic_advance", False, "retakeNeeded",
+                              "perform_adjustments", "process_done"),
+            "process_done": ("Decision", None, "generic_advance", False, "processDone",
+                             "release_patient", "identify_stage"),
+            "release_patient": ("Action", "end", "compliance_mode", False, None, None, None),
+            "end": ("Final", None, "generic_advance", False, None, None, None),
         }
         for executive in (SafetyExecutive(mammobot, config),
                           SafetyExecutive(mammobot, config, enabled=False)):
             assert executive._roles == roles
             assert executive._role_nodes == {
                 role: nid for nid, role in roles.items() if role != "generic"}
-            assert executive._edges_true == by_polarity[True]
-            assert executive._edges_false == by_polarity[False]
-            assert executive._edge_plain == by_polarity[None]
+            assert executive._steps == steps
+        assert SafetyExecutive(parse_model(LOOP), config)._steps["work"] == (
+            "Action", "more", "generic_advance", False, None, None, None)
 
 
 class TestBranch:
@@ -407,6 +442,20 @@ class TestProtectiveStop:
         assert not state.interruption_active
         assert state.revalidation_required
         assert state.current_node == "determine_posture"
+
+    def test_revalidation_clears_on_posture_plan_and_assent(self, mammobot, config):
+        executive, state = fresh(mammobot, config)
+        executive.request_protective_stop(state, "Patient", 100)
+        executive.resume_after_stop(state, [("Radiographer", 200), ("Patient", 200)])
+        assert state.revalidation_required
+        executive.handle_event(state, Event(300, "Sensor", "postureUpdate", {"valid": True}))
+        executive.handle_event(state, Event(300, "Patient", "assent"))
+        assert state.revalidation_required  # the trajectory is not yet revalidated
+        t = 300 + config.stabilization_window_ms
+        executive.handle_event(state, Event(t, "Radiographer", "commandConfirm",
+                                            {"action": "planReady", "valid": True}))
+        assert not state.revalidation_required
+        assert [e.t for e in state.log if e.kind == "revalidation"] == [t]
 
     def test_stale_confirmations_refused(self, mammobot, config):
         executive, state = fresh(mammobot, config)

@@ -1,9 +1,16 @@
+from dataclasses import replace
+
 import pytest
 
 from hazgate.datafiles import data_path
-from hazgate.executive import ExecConfig
+from hazgate.executive import ExecConfig, ExecState, SafetyExecutive
 from hazgate.model import load_model
-from hazgate.reach import DEFAULT_ALPHABET, brute_force_reachability, stimuli_for
+from hazgate.reach import (
+    DEFAULT_ALPHABET,
+    abstract_key,
+    brute_force_reachability,
+    stimuli_for,
+)
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +32,21 @@ class TestAlphabet:
         confirm = [payload for kind, payload in stimuli if kind == "commandConfirm"]
         assert len(confirm) == 8
         assert len(stimuli) == 15
+
+
+class TestAbstractKey:
+    def test_ledger_bits_follow_each_states_own_ledger(self, mammobot, config):
+        # the key ends with one bit per (action, source) the state's ledger
+        # requires, actions in sorted order
+        for ledger in (config.ledger_requirements,
+                       {"resume": ("Patient",), "exposure": ("Radiographer", "Patient")}):
+            executive = SafetyExecutive(mammobot, replace(config, ledger_requirements=ledger))
+            state = executive.init_state()
+            state.ledger.record("exposure", "Radiographer", 0)
+            expected = tuple(action == "exposure" and source == "Radiographer"
+                             for action in sorted(ledger) for source in ledger[action])
+            assert abstract_key(state, config)[-1] == expected
+            assert abstract_key(state.branch(), config)[-1] == expected
 
 
 class TestDepthZero:
@@ -59,16 +81,26 @@ class TestUnprotected:
             "stabilizationElapsed,patientAssentFresh,radiographerConfirmFresh"
         )
 
+    def test_full_search_at_depth_6(self, mammobot, config):
+        result = brute_force_reachability(
+            mammobot, config, max_depth=6, executive_enabled=False, stop_at_first=False
+        )
+        assert result.unsafe_reachable
+        assert result.complete
+        assert result.cross_check_disagreements == []
+        assert (result.states_explored, result.transitions, result.cross_checked) == (
+            10650, 63360, 10649)
+
     def test_counterexample_replays_to_violation(self, mammobot, config):
         from hazgate.monitors import monitor_r24
         from hazgate.reach import REACH_STALENESS_MS, _replay
-        from dataclasses import replace
 
         result = brute_force_reachability(
             mammobot, config, max_depth=6, executive_enabled=False
         )
         reach_config = replace(config, confirmation_staleness_ms=REACH_STALENESS_MS)
-        trace, _ = _replay(mammobot, reach_config, result.counterexample, enabled=False)
+        trace, _ = _replay(mammobot, reach_config, result.counterexample,
+                           SafetyExecutive(mammobot, reach_config, enabled=False))
         assert monitor_r24(trace, reach_config).status == "Violated"
 
 
@@ -83,6 +115,24 @@ class TestProtected:
         assert result.cross_check_disagreements == []
         assert (result.states_explored, result.transitions, result.cross_checked) == (
             4383, 46245, 4382)
+
+    def test_cross_check_catches_a_branch_sharing_its_ledger(self, mammobot, config,
+                                                              monkeypatch):
+        # the replays share nothing with the search, so a faulty branch copy
+        # shows up as disagreements rather than being repeated by the replay
+        branch = ExecState.branch
+
+        def sharing_branch(state):
+            dup = branch(state)
+            dup.ledger = state.ledger
+            return dup
+
+        monkeypatch.setattr(ExecState, "branch", sharing_branch)
+        result = brute_force_reachability(
+            mammobot, config, max_depth=8, executive_enabled=True
+        )
+        assert len(result.cross_check_disagreements) == 585
+        assert all(d.startswith("state mismatch") for d in result.cross_check_disagreements)
 
     def test_state_budget_marks_incomplete(self, mammobot, config):
         result = brute_force_reachability(
