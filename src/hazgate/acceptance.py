@@ -21,10 +21,11 @@ from .datafiles import data_path
 from .executive import (
     EVENT_KINDS,
     EXPOSURE_CONDITIONS,
+    EXPOSURE_GATE,
     Event,
     ExecConfig,
     LOGGABLE_EVENT_FAMILY,
-    gate_exposure,
+    gate_failures,
     init_executive,
 )
 from .model import load_model, validate_model
@@ -218,10 +219,10 @@ def criterion_5():
         state.fault_active = not held["noFault"]
         state.interruption_active = not held["noInterruption"]
         state.revalidation_required = not held["noRevalidationPending"]
-        decision = gate_exposure(state, config)
-        if decision.allowed != all(bits):  # brute-force conjunction oracle
+        granted = not gate_failures(EXPOSURE_GATE, state, config)
+        if granted != all(bits):  # brute-force conjunction oracle
             return False, f"gate disagrees with oracle at {bits}"
-        allowed += decision.allowed
+        allowed += granted
     if allowed != 1:
         return False, f"{allowed} rows allowed (expected exactly 1)"
     return True, "2^8 rows, exactly one grants exposure, gate == oracle"

@@ -8,7 +8,13 @@ simulated milliseconds carried on events; there is no wall-clock dependence.
 
 Safety-critical grants (motion start, X-ray exposure, patient release,
 resume after stop) pass through explicit gates over the current state plus
-a multi-source confirmation ledger with a freshness window.  Motion,
+a multi-source confirmation ledger with a freshness window.  The exposure
+and motion gates are tables of named conditions, ``EXPOSURE_GATE`` and
+``MOTION_GATE``, each entry ``(name, holds(state, config))`` in refusal
+order; ``gate_failures`` scans a table once and returns the names that
+fail, and the release gate is one such list over the executive's node
+roles.  A refusal cites the requirement ``CONDITION_CITES`` gives its first
+failed name, so removing one entry from a table removes one conjunct.  Motion,
 exposure and release are granted through one path, ``_grant``, which
 consumes the confirmations that enabled the grant, so every exposure or
 motion needs fresh confirmations of its own; resume consumes its own.
@@ -34,7 +40,9 @@ import json
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
-from .jsoncheck import json_field, json_int, json_keys, json_names, json_object, json_version
+from .jsoncheck import (
+    json_field, json_int, json_keys, json_names, json_object, json_text, json_version,
+)
 from .model import KIND_ACTION, KIND_DECISION, KIND_FINAL, ProcessModel, normalize_label
 
 SOURCES = ("Radiographer", "Patient", "Sensor", "System")
@@ -58,25 +66,6 @@ LOGGABLE_EVENT_FAMILY = {
     "assent": "confirmation",
 }
 
-EXPOSURE_CONDITIONS = (
-    "postureValid",
-    "stabilizationElapsed",
-    "armImmobility",
-    "patientAssentFresh",
-    "radiographerConfirmFresh",
-    "noFault",
-    "noInterruption",
-    "noRevalidationPending",
-)
-
-MOTION_CONDITIONS = (
-    "postureValid",
-    "noInterruption",
-    "noFault",
-    "noRevalidationPending",
-    "ledgerMotionStart",
-)
-
 # which requirement a refusal cites, by failed condition (priority order)
 CONDITION_CITES = (
     ("noInterruption", "R14"),
@@ -85,7 +74,6 @@ CONDITION_CITES = (
     ("stabilizationElapsed", "R21"),
     ("ledgerMotionStart", "R20"),
     ("ledgerRelease", "R20"),
-    ("ledgerResume", "R20"),
     ("postureValid", "R15"),
     ("armImmobility", "R16"),
     ("patientAssentFresh", "R24"),
@@ -94,6 +82,7 @@ CONDITION_CITES = (
     ("atMotionStage", "R15"),
     ("motionComplete", "R16"),
     ("noPendingRetake", "R16"),
+    ("atReleaseStage", "R25"),
 )
 
 
@@ -161,6 +150,10 @@ class ExecConfig:
         }
 
 
+# payload fields the executive keys on or logs as text
+_TEXT_PAYLOAD_FIELDS = ("action", "guard", "view", "detail")
+
+
 class Event:
     __slots__ = ("timestamp", "source", "kind", "payload")
 
@@ -192,11 +185,15 @@ class Event:
     def from_json_dict(cls, data: dict) -> "Event":
         # __init__ rejects an unknown source or kind
         json_keys(data, "event", ("t", "source", "kind", "payload"))
+        payload = json_object(data.get("payload") or {}, "event payload")
+        for key in _TEXT_PAYLOAD_FIELDS:
+            if key in payload:
+                json_text(payload[key], f"event payload {key}")
         return cls(
             json_int(json_field(data, "t", "event"), "event t"),
             json_field(data, "source", "event"),
             json_field(data, "kind", "event"),
-            json_object(data.get("payload") or {}, "event payload"),
+            payload,
         )
 
 
@@ -465,55 +462,46 @@ SNAP_COMPLIANCE = 9
 SNAP_EXPOSURE_IN_PROGRESS = 10
 
 
-@dataclass(frozen=True)
-class GateDecision:
-    allowed: bool
-    failed: tuple[str, ...] = ()
-
-
-def stabilization_elapsed(state: ExecState, now: int, config: ExecConfig) -> bool:
+def stabilization_elapsed(state: ExecState, config: ExecConfig) -> bool:
     """Closed bound: exactly `window` ms of stability counts as elapsed."""
     since = state.posture_stable_since
-    return since is not None and now - since >= config.stabilization_window_ms
+    return since is not None and state.clock - since >= config.stabilization_window_ms
 
 
-def gate_exposure(state: ExecState, config: ExecConfig) -> GateDecision:
-    """Pure conjunction of the eight exposure interlock conditions."""
-    t = state.clock
-    failed = []
-    if not state.posture_valid:
-        failed.append("postureValid")
-    if not stabilization_elapsed(state, t, config):
-        failed.append("stabilizationElapsed")
-    if state.arm_moving:
-        failed.append("armImmobility")
-    if not state.ledger.fresh("exposure", "Patient", t):
-        failed.append("patientAssentFresh")
-    if not state.ledger.fresh("exposure", "Radiographer", t):
-        failed.append("radiographerConfirmFresh")
-    if state.fault_active:
-        failed.append("noFault")
-    if state.interruption_active:
-        failed.append("noInterruption")
-    if state.revalidation_required:
-        failed.append("noRevalidationPending")
-    return GateDecision(not failed, tuple(failed))
+# a gate is a table of (condition name, holds(state, config)), in refusal
+# order; the gate allows when every condition holds
+
+# the eight exposure interlock conditions
+EXPOSURE_GATE = (
+    ("postureValid", lambda state, config: state.posture_valid),
+    ("stabilizationElapsed", stabilization_elapsed),
+    ("armImmobility", lambda state, config: not state.arm_moving),
+    ("patientAssentFresh",
+     lambda state, config: state.ledger.fresh("exposure", "Patient", state.clock)),
+    ("radiographerConfirmFresh",
+     lambda state, config: state.ledger.fresh("exposure", "Radiographer", state.clock)),
+    ("noFault", lambda state, config: not state.fault_active),
+    ("noInterruption", lambda state, config: not state.interruption_active),
+    ("noRevalidationPending", lambda state, config: not state.revalidation_required),
+)
+
+# the five motion-enable conditions
+MOTION_GATE = (
+    ("postureValid", lambda state, config: state.posture_valid),
+    ("noInterruption", lambda state, config: not state.interruption_active),
+    ("noFault", lambda state, config: not state.fault_active),
+    ("noRevalidationPending", lambda state, config: not state.revalidation_required),
+    ("ledgerMotionStart",
+     lambda state, config: state.ledger.satisfied("motionStart", state.clock)),
+)
+
+EXPOSURE_CONDITIONS = tuple(name for name, _ in EXPOSURE_GATE)
+MOTION_CONDITIONS = tuple(name for name, _ in MOTION_GATE)
 
 
-def gate_motion(state: ExecState, config: ExecConfig) -> GateDecision:
-    """Pure conjunction of the five motion-enable conditions."""
-    failed = []
-    if not state.posture_valid:
-        failed.append("postureValid")
-    if state.interruption_active:
-        failed.append("noInterruption")
-    if state.fault_active:
-        failed.append("noFault")
-    if state.revalidation_required:
-        failed.append("noRevalidationPending")
-    if not state.ledger.satisfied("motionStart", state.clock):
-        failed.append("ledgerMotionStart")
-    return GateDecision(not failed, tuple(failed))
+def gate_failures(gate, state: ExecState, config: ExecConfig) -> list[str]:
+    """Names of the gate's conditions that fail, in the gate's order."""
+    return [name for name, holds in gate if not holds(state, config)]
 
 
 @dataclass(frozen=True)
@@ -537,11 +525,11 @@ def _refuse(state: ExecState, verdicts, subject, requirement, detail, logged) ->
     state.log.append(state.clock, "refusal", "System", logged)
 
 
-def _refuse_failed(state: ExecState, verdicts, subject, action, failed, default=None) -> None:
+def _refuse_failed(state: ExecState, verdicts, subject, action, failed) -> None:
     """Refuse a gated grant, citing the first failed condition's requirement."""
     joined = ",".join(failed)
-    _refuse(state, verdicts, subject, cite_for(failed) or default,
-            "failed: " + joined, f"{action}: {joined}")
+    _refuse(state, verdicts, subject, cite_for(failed), "failed: " + joined,
+            f"{action}: {joined}")
 
 
 def _grant(state: ExecState, emitted, verdicts, action, marker, subject, log_kind, logged) -> None:
@@ -658,7 +646,7 @@ class SafetyExecutive:
 
     def _try_start_motion(self, state: ExecState, emitted, verdicts) -> None:
         if self.enabled:
-            failed = list(gate_motion(state, self.config).failed)
+            failed = gate_failures(MOTION_GATE, state, self.config)
             if self._role(state.current_node) not in ("motion", "adjust"):
                 failed.append("atMotionStage")
             if failed:
@@ -674,17 +662,14 @@ class SafetyExecutive:
             verdicts.append(StepVerdict("ignored", "release", detail="already compliant"))
             return
         if self.enabled and not safe_path:
-            failed = []
-            if state.arm_moving:
-                failed.append("motionComplete")
-            if state.retake_result is True:
-                failed.append("noPendingRetake")
-            if self._role(state.current_node) != "release":
-                failed.append("atReleaseStage")
-            if not state.ledger.satisfied("release", state.clock):
-                failed.append("ledgerRelease")
+            failed = [name for name, holds in (
+                ("motionComplete", not state.arm_moving),
+                ("noPendingRetake", state.retake_result is not True),
+                ("atReleaseStage", self._role(state.current_node) == "release"),
+                ("ledgerRelease", state.ledger.satisfied("release", state.clock)),
+            ) if not holds]
             if failed:
-                _refuse_failed(state, verdicts, "release", "release", failed, "R25")
+                _refuse_failed(state, verdicts, "release", "release", failed)
                 return
         state.arm_moving = False
         state.compliance_mode = True
@@ -765,7 +750,7 @@ class SafetyExecutive:
             if self._frozen(state):
                 _refuse(state, verdicts, "planReady", "R14", "stopped", "planReady: stopped")
                 return
-            if self.enabled and not stabilization_elapsed(state, state.clock, self.config):
+            if self.enabled and not stabilization_elapsed(state, self.config):
                 _refuse(state, verdicts, "planReady", "R21", "stabilization window not elapsed",
                         "planReady: stabilizationElapsed")
                 return
@@ -843,11 +828,11 @@ class SafetyExecutive:
             verdicts.append(StepVerdict("ignored", "exposureRequest", detail="already in progress"))
             return
         if self.enabled:
-            failed = list(gate_exposure(state, self.config).failed)
+            failed = gate_failures(EXPOSURE_GATE, state, self.config)
             if self._role(state.current_node) != "capture":
                 failed.append("atCaptureStage")
             if failed:
-                _refuse_failed(state, verdicts, "exposureRequest", "exposure", failed, "R24")
+                _refuse_failed(state, verdicts, "exposureRequest", "exposure", failed)
                 return
         state.exposure_in_progress = True
         _grant(state, emitted, verdicts, "exposure", "fire-exposure", "exposureRequest",

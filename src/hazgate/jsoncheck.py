@@ -27,6 +27,12 @@ def json_int(value, where: str) -> int:
     return value
 
 
+def json_text(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{where} must be text, got {value!r}")
+    return value
+
+
 def json_list(value, where: str) -> list:
     """A JSON list; a tuple (a built-in default) passes too."""
     if not isinstance(value, (list, tuple)):

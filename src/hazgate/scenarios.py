@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from .executive import Event, ExecConfig
-from .jsoncheck import json_field, json_int, json_keys, json_list, json_version
+from .jsoncheck import json_field, json_int, json_keys, json_list, json_text, json_version
 
 TRANSFORM_FOR_GUIDEWORD = {
     "Omission": "Drop",
@@ -120,6 +120,8 @@ class Injection:
     def from_json_dict(cls, data: dict) -> "Injection":
         json_keys(data, "injection", ("target", "transform", "source_ref", "delta_ms", "event",
                                       "payload_field", "mutation"))
+        if data.get("payload_field") is not None:
+            json_text(data["payload_field"], "injection payload_field")
         return cls(
             target=Selector.from_json_dict(json_field(data, "target", "injection")),
             transform=json_field(data, "transform", "injection"),
@@ -184,6 +186,8 @@ def apply_injection(timeline: list[Event], inj: Injection) -> list[Event]:
             payload = dict(event.payload)
             value = payload.get(inj.payload_field)
             if inj.mutation == "negate":
+                if not isinstance(value, (int, float)):  # a bool is an int
+                    raise InjectionError(f"negate needs a boolean or a number, got {value!r}")
                 payload[inj.payload_field] = (not value) if isinstance(value, bool) else -value
             elif inj.mutation == "zero":
                 payload[inj.payload_field] = False if isinstance(value, bool) else 0

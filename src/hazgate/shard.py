@@ -178,11 +178,19 @@ def read_json_field(path, key: str, version: str) -> tuple:
     return json_field(data, key, name), name
 
 
-def read_csv_rows(path) -> list[dict]:
-    """CSV rows as dicts; leading ``#`` comment lines are skipped."""
+def read_csv_rows(path, version: str) -> list[dict]:
+    """CSV rows as dicts, without the ``#`` comment lines.
+
+    A ``# schema: <version>`` comment, when present, must name ``version``,
+    as ``schema_version`` must in a JSON file.
+    """
     with open(path, encoding="utf-8", newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    return list(csv.DictReader(lines))
+        lines = list(fh)
+    for ln in lines:
+        if ln.startswith("# schema:"):
+            json_version({"schema_version": ln[len("# schema:"):].strip()}, Path(path).name,
+                         version)
+    return list(csv.DictReader(ln for ln in lines if not ln.startswith("#")))
 
 
 def _check_value(value, column: str, allowed, at: str, kind: str) -> None:
@@ -248,7 +256,7 @@ def load_shard_catalog(path, model: ProcessModel | None = None) -> list[Deviatio
         rows, _ = read_json_field(path, "records", "shard-catalog/1")
         rows = json_list(rows, f"{path.name} records")
     else:
-        rows = read_csv_rows(path)
+        rows = read_csv_rows(path, "shard-catalog/1")
     records = load_records(
         rows, DeviationRecord, path.name, lambda rec: (*rec.key(), rec.deviation),
         renames=NODE_COLUMN, enums={"guideword": GUIDEWORDS, "hazard_level": HAZARD_LEVELS},

@@ -173,15 +173,16 @@ _record_id = attrgetter("id")
 
 def load_uca_catalog(path) -> list[UcaRecord]:
     return load_records(
-        read_csv_rows(path), UcaRecord, Path(path).name, _record_id, renames=NODE_COLUMN,
+        read_csv_rows(path, "uca-catalog/1"), UcaRecord, Path(path).name, _record_id,
+        renames=NODE_COLUMN,
         enums={"id": _UCA_ID, "role": ROLES, "category": UCA_CATEGORIES,
                "hazard_level": HAZARD_LEVELS},
     )
 
 
 def load_cue_catalog(path) -> list[CueRecord]:
-    return load_records(read_csv_rows(path), CueRecord, Path(path).name, _record_id,
-                        enums={"id": _CUE_ID, "hazard_level": HAZARD_LEVELS})
+    return load_records(read_csv_rows(path, "cue-catalog/1"), CueRecord, Path(path).name,
+                        _record_id, enums={"id": _CUE_ID, "hazard_level": HAZARD_LEVELS})
 
 
 def cue_applicability(cue: CueRecord, node: Node) -> bool:

@@ -5,6 +5,8 @@ import pytest
 
 from hazgate.cli import main
 from hazgate.datafiles import data_path
+from hazgate.shard import load_shard_catalog
+from hazgate.stpa import load_cue_catalog, load_uca_catalog
 
 MODEL = str(data_path("mammobot.proc"))
 CONFIG = str(data_path("exec_config.json"))
@@ -163,6 +165,12 @@ def _json_edit(mutate):
     return rewrite
 
 
+# negates the self-test's "ready" field
+_CORRUPT_SELF_TEST = {"target": {"kind": "commandConfirm", "ordinal": 1},
+                      "transform": "CorruptValue", "source_ref": "uca:UCA01",
+                      "payload_field": "ready", "mutation": "negate"}
+
+
 class TestMalformedInputs:
     """Malformed input exits 2 with a one-line reason, never 1 with a traceback."""
 
@@ -180,8 +188,25 @@ class TestMalformedInputs:
          "base_timeline[2]: event has unknown key 'paylod'"),
         (lambda d: d.update(schema_version="scenario/9"),
          "scenario schema_version must be 'scenario/1', got 'scenario/9'"),
+        (lambda d: d["base_timeline"][0]["payload"].update(action=["selfTest"]),
+         "base_timeline[0]: event payload action must be text, got ['selfTest']"),
+        (lambda d: d["base_timeline"][0]["payload"].update(action="decide", guard=["g"]),
+         "base_timeline[0]: event payload guard must be text, got ['g']"),
+        (lambda d: d["base_timeline"][1]["payload"].update(view={"name": "CC"}),
+         "base_timeline[1]: event payload view must be text, got {'name': 'CC'}"),
+        (lambda d: d["base_timeline"].insert(3, {"t": 2000, "source": "Sensor", "kind": "fault",
+                                                 "payload": {"detail": ["encoder"]}}),
+         "base_timeline[3]: event payload detail must be text, got ['encoder']"),
+        (lambda d: d["base_timeline"].insert(3, {"t": 2000, "source": "Sensor", "kind": "fault",
+                                                 "payload": {"detail": {"code": 7}}}),
+         "base_timeline[3]: event payload detail must be text, got {'code': 7}"),
+        (lambda d: d.update(injections=[dict(_CORRUPT_SELF_TEST, payload_field="action")]),
+         "negate needs a boolean or a number, got 'selfTest'"),
+        (lambda d: d.update(injections=[dict(_CORRUPT_SELF_TEST, payload_field=["ready"])]),
+         "injections[0]: injection payload_field must be text, got ['ready']"),
     ], ids=["no-name", "text-t", "bool-t", "misspelt-injections", "misspelt-payload",
-            "foreign-version"])
+            "foreign-version", "list-action", "list-guard", "object-view", "list-detail",
+            "object-detail", "negated-text", "list-payload-field"])
     def test_malformed_scenario(self, tmp_path, capsys, mutate, reason):
         bad = tmp_path / "scenario.json"
         bad.write_text(json.dumps(_mutated(self.SCENARIO, mutate)))
@@ -238,10 +263,17 @@ class TestMalformedInputs:
         ("shard_rules.json",
          _json_edit(lambda d: d["defaults"].update(Actoin=d["defaults"].pop("Action"))),
          "rules defaults has unknown key 'Actoin'"),
+        ("shard_catalog.csv", lambda text: text.replace("shard-catalog/1", "shard-catalog/9"),
+         "shard_catalog.csv schema_version must be 'shard-catalog/1', got 'shard-catalog/9'"),
+        ("uca_catalog.csv", lambda text: text.replace("uca-catalog/1", "cue-catalog/1"),
+         "uca_catalog.csv schema_version must be 'uca-catalog/1', got 'cue-catalog/1'"),
+        ("cue_catalog.csv", lambda text: text.replace("cue-catalog/1", "cue-catalog/2"),
+         "cue_catalog.csv schema_version must be 'cue-catalog/1', got 'cue-catalog/2'"),
     ], ids=["uca-no-node", "requirement-no-category", "requirements-list",
             "override-no-justification", "link-relation", "catalog-foreign-version",
             "requirements-foreign-version", "links-foreign-version", "rules-foreign-version",
-            "requirements-unknown-key", "misspelt-node-kind"])
+            "requirements-unknown-key", "misspelt-node-kind", "csv-catalog-foreign-version",
+            "uca-foreign-version", "cue-foreign-version"])
     def test_malformed_catalog(self, tmp_path, capsys, shipped, rewrite, reason):
         bad = tmp_path / shipped
         bad.write_text(rewrite(data_path(shipped).read_text(encoding="utf-8")), encoding="utf-8")
@@ -249,9 +281,22 @@ class TestMalformedInputs:
                                   ("uca_catalog.csv", "cue_catalog.csv", "requirements.json")]
         argv = {"shard_rules.json": ["shard-report", MODEL, SHARD, "--rules", str(bad)],
                 "shard_catalog.json": ["shard-report", MODEL, str(bad)],
+                "shard_catalog.csv": ["shard-report", MODEL, str(bad)],
                 "traceability.json": stpa + ["--links", str(bad)]}.get(shipped, stpa)
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
         assert reason in captured.err
+
+    @pytest.mark.parametrize("shipped,load", [
+        ("shard_catalog.csv", load_shard_catalog),
+        ("uca_catalog.csv", load_uca_catalog),
+        ("cue_catalog.csv", load_cue_catalog),
+    ], ids=["shard", "uca", "cue"])
+    def test_csv_catalog_without_schema_line_loads(self, tmp_path, shipped, load):
+        lines = data_path(shipped).read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[0].startswith("# schema: ")
+        bare = tmp_path / shipped
+        bare.write_text("".join(lines[1:]), encoding="utf-8")
+        assert load(bare) == load(data_path(shipped))

@@ -9,15 +9,18 @@ from hazgate.acceptance import _random_timeline
 from hazgate.datafiles import data_path
 from hazgate.executive import (
     _NODE_ROLES,
+    CONDITION_CITES,
     EXPOSURE_CONDITIONS,
+    EXPOSURE_GATE,
     MOTION_CONDITIONS,
+    MOTION_GATE,
     ExecConfig,
     ExecState,
     Event,
     SafetyExecutive,
     TimestampRegression,
-    gate_exposure,
-    gate_motion,
+    cite_for,
+    gate_failures,
     init_executive,
     stabilization_elapsed,
 )
@@ -295,14 +298,11 @@ class TestExposureGate:
         return state
 
     def test_all_satisfied_allows(self, mammobot, config):
-        decision = gate_exposure(self._state_with(mammobot, config), config)
-        assert decision.allowed and decision.failed == ()
+        assert gate_failures(EXPOSURE_GATE, self._state_with(mammobot, config), config) == []
 
     def test_arm_moving_causes_single_named_failure(self, mammobot, config):
         state = self._state_with(mammobot, config, failing=("armImmobility",))
-        decision = gate_exposure(state, config)
-        assert not decision.allowed
-        assert decision.failed == ("armImmobility",)
+        assert gate_failures(EXPOSURE_GATE, state, config) == ["armImmobility"]
 
     def test_truth_table_exactly_one_allowed(self, mammobot, config):
         """Brute-force 2^8 sweep: the gate must be the pure conjunction."""
@@ -312,20 +312,20 @@ class TestExposureGate:
                 name for name, ok in zip(EXPOSURE_CONDITIONS, bits) if not ok
             )
             state = self._state_with(mammobot, config, failing=failing)
-            decision = gate_exposure(state, config)
+            failed = gate_failures(EXPOSURE_GATE, state, config)
             oracle = all(bits)
-            assert decision.allowed == oracle, (bits, decision.failed)
-            if decision.allowed:
+            assert (not failed) == oracle, (bits, failed)
+            if not failed:
                 allowed_rows.append(bits)
             else:
-                assert set(decision.failed) == set(failing)
+                assert set(failed) == set(failing)
         assert len(allowed_rows) == 1
 
     def test_gate_is_deterministic(self, mammobot, config):
         state = self._state_with(mammobot, config, failing=("noFault",))
-        first = gate_exposure(state, config)
+        first = gate_failures(EXPOSURE_GATE, state, config)
         for _ in range(50):
-            assert gate_exposure(state, config) == first
+            assert gate_failures(EXPOSURE_GATE, state, config) == first
 
 
 class TestMotionGate:
@@ -355,9 +355,9 @@ class TestMotionGate:
                 name for name, ok in zip(MOTION_CONDITIONS, bits) if not ok
             )
             state = self._state_with(mammobot, config, failing=failing)
-            decision = gate_motion(state, config)
-            assert decision.allowed == all(bits)
-            allowed += decision.allowed
+            granted = not gate_failures(MOTION_GATE, state, config)
+            assert granted == all(bits)
+            allowed += granted
         assert allowed == 1
 
     def test_revalidation_refusal_cites_r23(self, mammobot, config):
@@ -376,20 +376,25 @@ class TestStabilization:
     def test_window_elapsed(self, mammobot, config):
         _, state = init_executive(mammobot, config)
         state.posture_stable_since = 1000
-        assert stabilization_elapsed(state, 1000 + 2500, ExecConfig(stabilization_window_ms=2000))
+        state.clock = 1000 + 2500
+        assert stabilization_elapsed(state, ExecConfig(stabilization_window_ms=2000))
 
     def test_unset_is_false(self, mammobot, config):
         _, state = init_executive(mammobot, config)
         state.posture_stable_since = None
-        assert not stabilization_elapsed(state, 99_999, config)
+        state.clock = 99_999
+        assert not stabilization_elapsed(state, config)
 
     def test_closed_boundary(self, mammobot):
         config = ExecConfig(stabilization_window_ms=2000)
         _, state = init_executive(load_model(data_path("mammobot.proc")), config)
         state.posture_stable_since = 5000
-        assert not stabilization_elapsed(state, 5000 + 1999, config)
-        assert stabilization_elapsed(state, 5000 + 2000, config)  # exactly the window
-        assert stabilization_elapsed(state, 5000 + 2001, config)
+        state.clock = 5000 + 1999
+        assert not stabilization_elapsed(state, config)
+        state.clock = 5000 + 2000
+        assert stabilization_elapsed(state, config)  # exactly the window
+        state.clock = 5000 + 2001
+        assert stabilization_elapsed(state, config)
 
 
 class TestProtectiveStop:
@@ -542,6 +547,152 @@ class TestGrantsConsumeConfirmations:
                 assert state.ledger.received[action] == {}
                 return
         pytest.fail(f"the nominal session never emitted {marker}")
+
+
+def _first_request(executive, state, config, action):
+    """Run the nominal session up to, not including, its first ``action``
+    request, and return that request."""
+    for event in nominal_timeline(config):
+        if action == "exposure":
+            requested = event.kind == "exposureRequest"
+        else:
+            requested = event.kind == "commandConfirm" and event.payload.get("action") == action
+        if requested:
+            return event
+        executive.handle_event(state, event)
+    raise AssertionError(f"the nominal session never requests {action}")
+
+
+def _move_to(role):
+    def move(executive, state, request):
+        state.current_node = executive._role_nodes[role]
+        return request
+    return move
+
+
+def _set(**slots):
+    def assign(executive, state, request):
+        for name, value in slots.items():
+            setattr(state, name, value)
+        return request
+    return assign
+
+
+def _unconfirm(action, source):
+    def withdraw(executive, state, request):
+        state.ledger.received[action].pop(source)
+        return request
+    return withdraw
+
+
+def _just_stable(executive, state, request):
+    state.posture_stable_since = request.timestamp - executive.config.stabilization_window_ms + 1
+    return request
+
+
+def _from_system(executive, state, request):
+    # System is not a required ledger source, so the request confirms nothing
+    return Event(request.timestamp, "System", request.kind, request.payload)
+
+
+# request action -> failing condition -> how to break only that condition
+# just before the request; every gate table entry and both stage checks have
+# a row.  None marks a stop condition: a stopped session is refused as
+# "stopped" before the gate is read, so handle_event cannot fail it alone.
+_GATE_BREAKERS = {
+    "exposure": {
+        "postureValid": _set(posture_valid=False),
+        "stabilizationElapsed": _just_stable,
+        "armImmobility": _set(arm_moving=True),
+        "patientAssentFresh": _unconfirm("exposure", "Patient"),
+        "radiographerConfirmFresh": _unconfirm("exposure", "Radiographer"),
+        "noFault": None,
+        "noInterruption": None,
+        "noRevalidationPending": _set(revalidation_required=True),
+        "atCaptureStage": _move_to("motion"),
+    },
+    "motionStart": {
+        "postureValid": _set(posture_valid=False),
+        "noInterruption": None,
+        "noFault": None,
+        "noRevalidationPending": _set(revalidation_required=True),
+        "ledgerMotionStart": _from_system,
+        "atMotionStage": _move_to("capture"),
+    },
+    "release": {
+        "motionComplete": _set(arm_moving=True),
+        "noPendingRetake": _set(retake_result=True),
+        "atReleaseStage": _move_to("capture"),
+        "ledgerRelease": _from_system,
+    },
+}
+
+# the refusal text the release gate has always written when all four fail
+RELEASE_REFUSAL = "release: motionComplete,noPendingRetake,atReleaseStage,ledgerRelease"
+RELEASE_CONDITIONS = tuple(RELEASE_REFUSAL.split(": ")[1].split(","))
+
+
+class TestGateTables:
+    """Each gate condition, failing alone, refuses through handle_event with
+    its own name and the requirement CONDITION_CITES gives it."""
+
+    @pytest.mark.parametrize("action,condition", [
+        (action, name) for action, breakers in _GATE_BREAKERS.items()
+        for name, breaker in breakers.items() if breaker is not None])
+    def test_condition_failing_alone_is_refused_by_name(self, mammobot, config, action,
+                                                        condition):
+        executive, state = fresh(mammobot, config)
+        request = _first_request(executive, state, config, action)
+        request = _GATE_BREAKERS[action][condition](executive, state, request)
+        result = executive.handle_event(state, request)
+        assert [(v.kind, v.requirement) for v in result.verdicts] == [
+            ("refused", dict(CONDITION_CITES)[condition])]
+        refusals = [e.details for e in state.log if e.kind == "refusal"]
+        assert refusals == [f"{action}: {condition}"]
+
+    @pytest.mark.parametrize("action,condition", [
+        (action, name) for action, breakers in _GATE_BREAKERS.items()
+        for name, breaker in breakers.items() if breaker is None])
+    def test_stop_condition_failing_alone(self, mammobot, config, action, condition):
+        """The table names a stop condition alone on the staged state, and
+        handle_event refuses the request as stopped, citing R14."""
+        executive, state = fresh(mammobot, config)
+        request = _first_request(executive, state, config, action)
+        state.clock = request.timestamp
+        if request.kind == "commandConfirm":  # the request confirms itself
+            state.ledger.record(action, request.source, request.timestamp)
+        setattr(state, "fault_active" if condition == "noFault" else "interruption_active",
+                True)
+        gate = EXPOSURE_GATE if action == "exposure" else MOTION_GATE
+        assert gate_failures(gate, state, config) == [condition]
+        result = executive.handle_event(state, request)
+        assert [(v.kind, v.requirement, v.detail) for v in result.verdicts] == [
+            ("refused", "R14", "stopped")]
+
+    def test_every_gate_condition_has_a_breaker(self):
+        assert list(_GATE_BREAKERS["exposure"]) == [*EXPOSURE_CONDITIONS, "atCaptureStage"]
+        assert list(_GATE_BREAKERS["motionStart"]) == [*MOTION_CONDITIONS, "atMotionStage"]
+        assert list(_GATE_BREAKERS["release"]) == list(RELEASE_CONDITIONS)
+
+    def test_release_refusal_text_unchanged(self, mammobot, config):
+        executive, state = fresh(mammobot, config)
+        request = _first_request(executive, state, config, "exposure")
+        state.arm_moving = True
+        state.retake_result = True
+        result = executive.handle_event(
+            state, Event(request.timestamp, "System", "commandConfirm", {"action": "release"}))
+        assert [v.requirement for v in result.verdicts] == ["R20"]  # ledgerRelease ranks first
+        assert [e.details for e in state.log if e.kind == "refusal"] == [RELEASE_REFUSAL]
+
+    def test_every_gate_condition_has_a_citation(self):
+        """Refusals cite cite_for(failed) with no fallback, so each name a gate
+        can produce needs its own CONDITION_CITES row."""
+        cited = [name for name, _ in CONDITION_CITES]
+        assert len(cited) == len(set(cited))
+        produced = {*EXPOSURE_CONDITIONS, *MOTION_CONDITIONS, *RELEASE_CONDITIONS,
+                    "atCaptureStage", "atMotionStage"}
+        assert produced <= set(cited), produced - set(cited)
+        assert all(cite_for([name]) is not None for name in produced)
 
 
 class TestSessionLog:
