@@ -342,7 +342,7 @@ class ExecState:
     __slots__ = (
         "current_node", "clock",
         # condition flags
-        "system_ready", "posture_valid", "trajectory_valid", "arm_moving",
+        "posture_valid", "trajectory_valid", "arm_moving",
         "interruption_active", "fault_active",
         "revalidation_required", "compliance_mode",
         # timers / session data
@@ -354,13 +354,12 @@ class ExecState:
         "motion_done", "generic_advance",
         # overlays
         "exposure_in_progress", "awaiting_resume", "session_status",
-        "ledger", "log", "step_count",
+        "ledger", "log",
     )
 
     def __init__(self, initial_node: str, ledger: ConfirmationLedger):
         self.current_node = initial_node
         self.clock = 0
-        self.system_ready = False
         self.posture_valid = False
         self.trajectory_valid = False
         self.arm_moving = False
@@ -388,7 +387,6 @@ class ExecState:
         self.session_status = STATUS_RUNNING
         self.ledger = ledger
         self.log = SessionLog()
-        self.step_count = 0
 
     def assent_fresh(self, now: int, staleness_ms: int) -> bool:
         return (
@@ -407,7 +405,6 @@ class ExecState:
         dup = ExecState.__new__(ExecState)
         dup.current_node = self.current_node
         dup.clock = self.clock
-        dup.system_ready = self.system_ready
         dup.posture_valid = self.posture_valid
         dup.trajectory_valid = self.trajectory_valid
         dup.arm_moving = self.arm_moving
@@ -435,7 +432,6 @@ class ExecState:
         dup.session_status = self.session_status
         dup.ledger = self.ledger.copy()
         dup.log = SessionLog()
-        dup.step_count = self.step_count
         return dup
 
     def snapshot(self) -> tuple:
@@ -514,7 +510,6 @@ class StepVerdict:
 
 @dataclass
 class StepResult:
-    state: ExecState
     emitted: list[str]
     verdicts: list[StepVerdict]
 
@@ -698,7 +693,7 @@ class SafetyExecutive:
                     or state.session_status == STATUS_ABANDONED:
                 self._halt_motion(state, emitted)
                 self._try_release(state, emitted, verdicts, safe_path=True)
-        return StepResult(state, emitted, verdicts)
+        return StepResult(emitted, verdicts)
 
     # -- event dispatch ------------------------------------------------------
 
@@ -714,7 +709,7 @@ class SafetyExecutive:
         if state.revalidation_required:
             self._maybe_complete_revalidation(state)
         self._progress(state, emitted, verdicts)
-        return StepResult(state, emitted, verdicts)
+        return StepResult(emitted, verdicts)
 
     # individual event handlers; each logs per the R8 family mapping
 
@@ -728,9 +723,7 @@ class SafetyExecutive:
             state.ledger.record(action, event.source, state.clock)
 
         if action == "selfTest":
-            ready = bool(event.payload.get("ready", True))
-            state.self_test_result = ready
-            state.system_ready = ready
+            state.self_test_result = bool(event.payload.get("ready", True))
         elif action == "stageIdentified":
             identified = bool(event.payload.get("identified", True))
             state.stage_result = identified

@@ -6,7 +6,8 @@ Time is abstracted so the search stays finite and exact: non-tick stimuli
 arrive with zero delay, ticks advance the clock by exactly the stabilization
 window, and the confirmation staleness window is stretched beyond reach, so
 the window-elapsed/freshness booleans in the abstract state key are exact
-functions of the event history.
+functions of the event history.  The key reads the stabilization window
+through the executive's own ``stabilization_elapsed``.
 
 Each transition handles its event on ``ExecState.branch()``, a slot-wise
 copy of the parent state with its own containers, ledger and an empty log,
@@ -16,10 +17,13 @@ The unsafe predicate is evaluated independently of the executive's gates:
 an exposure firing counts as unsafe when any interlock condition did not
 hold, as recomputed from the raw pre-event state by the monitors' interlock
 predicate, ``monitors.exposure_condition_failures``.  Every newly discovered
-state is optionally cross-checked by replaying its witness path through the
-plain scenario runner and comparing both the resulting abstract state and
-the exposure-interlock monitor verdict against the search's own
-classification.
+state is optionally cross-checked by replaying its witness path through
+``simulate.play``, the one loop that feeds events to an executive and
+records a trace (without the end-of-stream close-out), and comparing both
+the resulting abstract state and the exposure-interlock monitor verdict
+against the search's own classification.  ``_replay`` is a one-statement
+delegate to that loop; it is kept, with its arguments, because the
+benchmark wraps it and reads its events argument.
 One replay executive, built apart from the search's, serves the whole
 cross-check.  Each witness is replayed from a fresh ``init_state()`` of that
 executive, sharing no prefix and no search state, precisely so that a
@@ -28,17 +32,18 @@ faulty branch copy shows up as a disagreement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .executive import (
     Event,
     ExecConfig,
     ExecState,
     SafetyExecutive,
+    stabilization_elapsed,
 )
 from .model import ProcessModel
 from .monitors import VIOLATED, exposure_condition_failures, monitor_r24
-from .simulate import Trace, TraceStep
+from .simulate import play
 
 REACH_STALENESS_MS = 10**9
 
@@ -94,18 +99,13 @@ def stimuli_for(alphabet) -> list[tuple[str, dict]]:
 
 
 def abstract_key(state: ExecState, config: ExecConfig) -> tuple:
-    now = state.clock
     received = state.ledger.received
     ledger_bits = tuple([source in received[action] for action, source in state.ledger.layout])
-    stab = (
-        state.posture_stable_since is not None
-        and now - state.posture_stable_since >= config.stabilization_window_ms
-    )
     return (
-        state.current_node, state.system_ready, state.posture_valid,
+        state.current_node, state.posture_valid,
         state.trajectory_valid, state.arm_moving, state.exposure_in_progress, state.interruption_active,
         state.fault_active, state.awaiting_resume, state.revalidation_required,
-        state.compliance_mode, stab,
+        state.compliance_mode, stabilization_elapsed(state, config),
         state.patient_last_assent is not None, state.patient_not_ok,
         state.self_test_result, state.stage_result, state.posture_result,
         state.plan_result, state.adjustments_result, state.retake_result,
@@ -131,39 +131,21 @@ class ReachabilityResult:
     cross_check_disagreements: list[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": "reach-report/1",
-            "unsafe_reachable": self.unsafe_reachable,
-            "counterexample": [e.to_json_dict() for e in self.counterexample]
-            if self.counterexample
-            else None,
-            "states_explored": self.states_explored,
-            "transitions": self.transitions,
-            "depth_reached": self.depth_reached,
-            "complete": self.complete,
-            "executive_enabled": self.executive_enabled,
-            "alphabet": list(self.alphabet),
-            "unsafe_detail": self.unsafe_detail,
-            "cross_checked": self.cross_checked,
-            "cross_check_disagreements": self.cross_check_disagreements,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["schema_version"] = "reach-report/1"
+        out["counterexample"] = (
+            [e.to_json_dict() for e in self.counterexample] if self.counterexample else None)
+        out["alphabet"] = list(self.alphabet)
+        return out
 
 
 def _replay(model: ProcessModel, config: ExecConfig, events, executive: SafetyExecutive):
-    """Run ``events`` through ``executive``, built from ``model`` and
-    ``config``, from a fresh initial state."""
-    state = executive.init_state()
-    trace = Trace(executive_enabled=executive.enabled)
-    for event in events:
-        result = executive.handle_event(state, event)
-        trace.steps.append(
-            TraceStep(event, state.snapshot(), tuple(result.emitted), tuple(result.verdicts))
-        )
-    trace.log = list(state.log)
-    trace.final_snapshot = state.snapshot()
-    trace.final_status = state.session_status
-    trace.final_node = state.current_node
-    return trace, state
+    """``simulate.play`` of ``events`` through ``executive`` without close-out.
+
+    ``model`` and ``config`` are unused (``executive`` was built from them);
+    the name and arguments stay only because the benchmark wraps this
+    function and reads ``events`` at ``args[2]``."""
+    return play(executive, events, close_out=False)
 
 
 def brute_force_reachability(
@@ -192,17 +174,16 @@ def brute_force_reachability(
     # frontier entries: (state, witness path, any unsafe grant along the path)
     frontier: list[tuple[ExecState, list[Event], bool]] = [(initial, [], False)]
     witnesses: list[tuple[list[Event], tuple, bool]] = []
+    counterexample: list[Event] | None = None
+    unsafe_detail = ""
+    transitions = 0
 
-    result = ReachabilityResult(
-        unsafe_reachable=False, counterexample=None, states_explored=1,
-        transitions=0, depth_reached=0, complete=True,
-        executive_enabled=executive_enabled, alphabet=tuple(alphabet),
-    )
-
+    # the search stops early at the first unsafe state (with stop_at_first)
+    # or when the state budget runs out
+    stopped = False
     depth = 0
-    while frontier and depth < max_depth:
+    while frontier and depth < max_depth and not stopped:
         depth += 1
-        result.depth_reached = depth
         next_frontier: list[tuple[ExecState, list[Event], bool]] = []
         for state, path, path_unsafe in frontier:
             for kind, source, payload, delay in stimuli:
@@ -210,7 +191,7 @@ def brute_force_reachability(
                 event = Event(clock, source, kind, dict(payload))
                 branch = state.branch()
                 step = executive.handle_event(branch, event)
-                result.transitions += 1
+                transitions += 1
 
                 fired = "fire-exposure" in step.emitted or any(
                     e.kind == "exposure" and e.details == "granted" for e in branch.log
@@ -226,52 +207,49 @@ def brute_force_reachability(
                         state.revalidation_required, clock, reach_config,
                     )
                 unsafe = bool(pre_failed)
-                if unsafe and not result.unsafe_reachable:
-                    result.unsafe_reachable = True
-                    result.counterexample = path + [event]
-                    result.unsafe_detail = (
+                if unsafe and counterexample is None:
+                    counterexample = path + [event]
+                    unsafe_detail = (
                         f"exposure fired at t={clock} with failed conditions: "
                         + ",".join(pre_failed)
                     )
                     if stop_at_first:
-                        result.complete = False  # search stopped early by design
-                        if cross_check:
-                            _cross_check(model, reach_config, executive_enabled,
-                                         witnesses + [(path + [event], None, True)], result)
-                        return result
+                        witnesses.append((counterexample, None, True))
+                        stopped = True
+                        break
 
                 key = abstract_key(branch, reach_config)
                 if key in visited:
                     continue
                 if len(visited) >= state_budget:
-                    result.complete = False
+                    stopped = True
                     break
                 visited.add(key)
                 new_path = path + [event]
                 next_frontier.append((branch, new_path, path_unsafe or unsafe))
                 witnesses.append((new_path, key, path_unsafe or unsafe))
-            else:
-                continue
-            break
-        result.states_explored = len(visited)
+            if stopped:
+                break
         frontier = next_frontier
-        if not result.complete:
-            break
 
+    result = ReachabilityResult(
+        unsafe_reachable=counterexample is not None, counterexample=counterexample,
+        states_explored=len(visited), transitions=transitions, depth_reached=depth,
+        complete=not stopped, executive_enabled=executive_enabled, alphabet=tuple(alphabet),
+        unsafe_detail=unsafe_detail,
+    )
     if cross_check:
         _cross_check(model, reach_config, executive_enabled, witnesses, result)
     return result
 
 
 def _cross_check(model, reach_config, enabled, witnesses, result) -> None:
-    """Replay each witness path through the scenario runner and compare.
+    """Replay each witness path through ``simulate.play`` and compare.
 
     One replay executive, not the search's, serves every witness; each
     replay starts from that executive's fresh initial state."""
     executive = SafetyExecutive(model, reach_config, enabled=enabled)
     for path, key, unsafe in witnesses:
-        if not path:
-            continue
         trace, final_state = _replay(model, reach_config, path, executive)
         result.cross_checked += 1
         if key is not None:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from .executive import Event, ExecConfig
 from .jsoncheck import json_field, json_int, json_keys, json_list, json_text, json_version
+from .monitors import MONITORED_REQUIREMENTS
 
 TRANSFORM_FOR_GUIDEWORD = {
     "Omission": "Drop",
@@ -244,6 +245,10 @@ class Scenario:
         if kind not in EXPECTED_OUTCOMES:
             raise ValueError(f"scenario expected_outcome kind must be one of "
                              f"{', '.join(EXPECTED_OUTCOMES)}, got {kind!r}")
+        requirement = outcome.get("requirement")
+        if "requirement" in outcome and requirement not in MONITORED_REQUIREMENTS:
+            raise ValueError(f"scenario expected_outcome requirement must be one of "
+                             f"{', '.join(MONITORED_REQUIREMENTS)}, got {requirement!r}")
         return cls(
             name=name,
             base_timeline=_parse_items(Event, json_field(data, "base_timeline", "scenario"),
@@ -251,7 +256,7 @@ class Scenario:
             injections=_parse_items(Injection, data.get("injections", []),
                                     "scenario injections"),
             expected_outcome=kind,
-            expected_requirement=outcome.get("requirement"),
+            expected_requirement=requirement,
             seed=json_int(data.get("seed", 0), "scenario seed"),
         )
 

@@ -1,7 +1,10 @@
 """Scenario execution: compile, run through the executive, monitor, classify.
 
 A run produces a :class:`Trace` (per-event state snapshots plus the session
-log) and the monitor verdicts evaluated over it.  Outcomes:
+log) and the monitor verdicts evaluated over it.  :func:`play` is the one
+loop in hazgate that feeds events to an executive and records the trace:
+``run_events`` uses it with the end-of-stream close-out, and ``reach``
+replays its witness paths through it without one.  Outcomes:
 
 * ``SafeCompletion`` -- workflow reached Final with no refusals and no
   monitor violations.
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .executive import COMPACT_JSON, ExecConfig, init_executive
+from .executive import COMPACT_JSON, ExecConfig, ExecState, SafetyExecutive
 from .model import ProcessModel
 from .monitors import VIOLATED, MonitorVerdict, evaluate_monitors
 from .scenarios import (
@@ -93,23 +96,36 @@ class ScenarioResult:
         return None
 
 
-def run_events(model: ProcessModel, config: ExecConfig, events, enabled: bool = True) -> Trace:
-    """Drive a raw event list through a fresh executive and capture the trace."""
-    executive, state = init_executive(model, config, enabled=enabled)
-    trace = Trace(executive_enabled=enabled)
+def play(executive: SafetyExecutive, events, close_out: bool = True) -> tuple[Trace, ExecState]:
+    """Drive ``events`` through ``executive`` from a fresh initial state.
+
+    This is the one loop that feeds events to an executive and records a
+    ``TraceStep`` per event.  With ``close_out`` the end-of-stream safety
+    close follows, recorded as a last step when it acts; reach replays its
+    witness paths without it.  Returns the trace and the final state.
+    """
+    state = executive.init_state()
+    trace = Trace(executive_enabled=executive.enabled)
     for event in events:
         result = executive.handle_event(state, event)
         trace.steps.append(TraceStep(event, state.snapshot(),
                                      tuple(result.emitted), tuple(result.verdicts)))
-    closing = executive.close_out(state)
-    if closing.emitted or closing.verdicts:
-        trace.steps.append(TraceStep(None, state.snapshot(),
-                                     tuple(closing.emitted), tuple(closing.verdicts)))
+    if close_out:
+        closing = executive.close_out(state)
+        if closing.emitted or closing.verdicts:
+            trace.steps.append(TraceStep(None, state.snapshot(),
+                                         tuple(closing.emitted), tuple(closing.verdicts)))
     trace.log = list(state.log)
     trace.final_snapshot = state.snapshot()
     trace.final_status = state.session_status
     trace.final_node = state.current_node
-    return trace
+    return trace, state
+
+
+def run_events(model: ProcessModel, config: ExecConfig, events, enabled: bool = True) -> Trace:
+    """Drive a raw event list through a fresh executive, close out, and
+    capture the trace."""
+    return play(SafetyExecutive(model, config, enabled=enabled), events)[0]
 
 
 def classify_outcome(trace: Trace, verdicts: list[MonitorVerdict]) -> tuple[str, tuple[str, ...]]:

@@ -156,6 +156,10 @@ def _mutated(path, mutate):
     return data
 
 
+_EXPECTED_REQUIREMENT = ("scenario expected_outcome requirement must be one of R1, R8, R14, "
+                         "R15, R16, R20, R21, R23, R24, R25, R26, got ")
+
+
 def _json_edit(mutate):
     """A rewrite of a JSON file's text that applies ``mutate`` to its data."""
     def rewrite(text):
@@ -204,9 +208,17 @@ class TestMalformedInputs:
          "negate needs a boolean or a number, got 'selfTest'"),
         (lambda d: d.update(injections=[dict(_CORRUPT_SELF_TEST, payload_field=["ready"])]),
          "injections[0]: injection payload_field must be text, got ['ready']"),
+        (lambda d: d["expected_outcome"].update(requirement=["R24"]),
+         _EXPECTED_REQUIREMENT + "['R24']"),
+        (lambda d: d["expected_outcome"].update(requirement="R99"),
+         _EXPECTED_REQUIREMENT + "'R99'"),
+        (lambda d: d["expected_outcome"].update(requirement=7), _EXPECTED_REQUIREMENT + "7"),
+        (lambda d: d["expected_outcome"].update(requirement=None),
+         _EXPECTED_REQUIREMENT + "None"),
     ], ids=["no-name", "text-t", "bool-t", "misspelt-injections", "misspelt-payload",
             "foreign-version", "list-action", "list-guard", "object-view", "list-detail",
-            "object-detail", "negated-text", "list-payload-field"])
+            "object-detail", "negated-text", "list-payload-field", "list-requirement",
+            "unknown-requirement", "number-requirement", "null-requirement"])
     def test_malformed_scenario(self, tmp_path, capsys, mutate, reason):
         bad = tmp_path / "scenario.json"
         bad.write_text(json.dumps(_mutated(self.SCENARIO, mutate)))

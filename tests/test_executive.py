@@ -64,7 +64,7 @@ class TestInit:
         _, state = fresh(mammobot, config)
         assert state.current_node == "sys_init"
         assert not state.exposure_in_progress
-        assert state.system_ready is False
+        assert state.self_test_result is None
         assert len(state.log) == 0
         assert all(not v for v in state.ledger.received.values())
 
