@@ -39,6 +39,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from .jsoncheck import (
     json_field, json_int, json_keys, json_names, json_object, json_text, json_version,
@@ -282,10 +283,24 @@ class SessionLog:
 # what json.dumps(obj, separators=(",", ":")) builds per call, built once
 COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 
+_LOG_LINE = '{"t":%d,"kind":%s,"actor":%s,"details":%s}\n'
+
 
 def log_jsonl(entries) -> str:
-    """One compact JSON line per log entry."""
-    return "".join(COMPACT_JSON.encode(e.to_json_dict()) + "\n" for e in entries)
+    """One line per log entry, ``{"t","kind","actor","details"}`` in that key
+    order, with the bytes ``COMPACT_JSON.encode(entry.to_json_dict())`` gives.
+
+    ``details`` is text unless a caller handed the executive a fault
+    ``detail`` or a confirmation ``action`` that is not (the loaders reject
+    both), so only such a value goes through the encoder.
+    """
+    text = encode_basestring_ascii  # COMPACT_JSON's own string escape
+    return "".join([
+        _LOG_LINE % (e.t, text(e.kind), text(e.actor),
+                     text(e.details) if e.details.__class__ is str
+                     else COMPACT_JSON.encode(e.details))
+        for e in entries
+    ])
 
 
 # node roles recognised by the executive, keyed on normalized display label

@@ -246,9 +246,13 @@ class Scenario:
             raise ValueError(f"scenario expected_outcome kind must be one of "
                              f"{', '.join(EXPECTED_OUTCOMES)}, got {kind!r}")
         requirement = outcome.get("requirement")
-        if "requirement" in outcome and requirement not in MONITORED_REQUIREMENTS:
-            raise ValueError(f"scenario expected_outcome requirement must be one of "
-                             f"{', '.join(MONITORED_REQUIREMENTS)}, got {requirement!r}")
+        if "requirement" in outcome:
+            if kind != OUTCOME_VIOLATION:
+                raise ValueError(f"scenario expected_outcome requirement applies only to kind "
+                                 f"{OUTCOME_VIOLATION}, not {kind}")
+            if requirement not in MONITORED_REQUIREMENTS:
+                raise ValueError(f"scenario expected_outcome requirement must be one of "
+                                 f"{', '.join(MONITORED_REQUIREMENTS)}, got {requirement!r}")
         return cls(
             name=name,
             base_timeline=_parse_items(Event, json_field(data, "base_timeline", "scenario"),

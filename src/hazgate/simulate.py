@@ -18,6 +18,8 @@ replays its witness paths through it without one.  Outcomes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .executive import COMPACT_JSON, ExecConfig, ExecState, SafetyExecutive
 from .model import ProcessModel
@@ -32,12 +34,18 @@ from .scenarios import (
 OUTCOME_VIOLATION_FOUND = "Violation"
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     event: object  # Event, or None for the close-out step
     snapshot: tuple
     emitted: tuple
     verdicts: tuple
+
+
+# one --trace line per step, then the final line; see Trace.to_jsonl
+_STEP_LINE = '{"t":%d,"event":%s,"node":%s,"emitted":[%s],"verdicts":[%s]}'
+_EVENT = '{"t":%d,"source":%s,"kind":%s,"payload":%s}'
+_VERDICT = '{"kind":%s,"subject":%s,"requirement":%s,"detail":%s}'
+_FINAL_LINE = '{"final":{"status":%s,"node":%s}}\n'
 
 
 @dataclass
@@ -59,25 +67,29 @@ class Trace:
         ]
 
     def to_jsonl(self) -> str:
-        """Deterministic line-per-step export (stable key order)."""
+        """One line per step, then a ``final`` line, each with the bytes
+        ``COMPACT_JSON.encode`` gives its record: keys in the order of the
+        line templates above, compact and ASCII-escaped.  Only a non-empty
+        event payload, which is user JSON of any shape, goes through the
+        encoder; every other value is an int, text or a null requirement.
+        """
+        text = encode_basestring_ascii  # COMPACT_JSON's own string escape
         lines = []
-        for step in self.steps:
-            record = {
-                "t": step.snapshot[0],
-                "event": step.event.to_json_dict() if step.event is not None else None,
-                "node": step.snapshot[1],
-                "emitted": list(step.emitted),
-                "verdicts": [
-                    {"kind": v.kind, "subject": v.subject,
-                     "requirement": v.requirement, "detail": v.detail}
-                    for v in step.verdicts
-                ],
-            }
-            lines.append(COMPACT_JSON.encode(record))
-        lines.append(COMPACT_JSON.encode(
-            {"final": {"status": self.final_status, "node": self.final_node}}
-        ))
-        return "\n".join(lines) + "\n"
+        for event, snapshot, emitted, verdicts in self.steps:
+            if event is None:
+                event_json = "null"
+            else:
+                payload = event.payload
+                event_json = _EVENT % (event.timestamp, text(event.source), text(event.kind),
+                                       COMPACT_JSON.encode(payload) if payload else "{}")
+            lines.append(_STEP_LINE % (
+                snapshot[0], event_json, text(snapshot[1]), ",".join(map(text, emitted)),
+                ",".join([_VERDICT % (text(v.kind), text(v.subject),
+                                      "null" if v.requirement is None else text(v.requirement),
+                                      text(v.detail))
+                          for v in verdicts])))
+        lines.append(_FINAL_LINE % (text(self.final_status), text(self.final_node)))
+        return "\n".join(lines)
 
 
 @dataclass

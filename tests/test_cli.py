@@ -215,10 +215,14 @@ class TestMalformedInputs:
         (lambda d: d["expected_outcome"].update(requirement=7), _EXPECTED_REQUIREMENT + "7"),
         (lambda d: d["expected_outcome"].update(requirement=None),
          _EXPECTED_REQUIREMENT + "None"),
+        (lambda d: d["expected_outcome"].update(kind="SafeCompletion"),
+         "scenario expected_outcome requirement applies only to kind ViolationExpected, "
+         "not SafeCompletion"),
     ], ids=["no-name", "text-t", "bool-t", "misspelt-injections", "misspelt-payload",
             "foreign-version", "list-action", "list-guard", "object-view", "list-detail",
             "object-detail", "negated-text", "list-payload-field", "list-requirement",
-            "unknown-requirement", "number-requirement", "null-requirement"])
+            "unknown-requirement", "number-requirement", "null-requirement",
+            "requirement-without-violation"])
     def test_malformed_scenario(self, tmp_path, capsys, mutate, reason):
         bad = tmp_path / "scenario.json"
         bad.write_text(json.dumps(_mutated(self.SCENARIO, mutate)))

@@ -22,6 +22,7 @@ from hazgate.executive import (
     cite_for,
     gate_failures,
     init_executive,
+    log_jsonl,
     stabilization_elapsed,
 )
 from hazgate.model import load_model, normalize_label, parse_model
@@ -756,18 +757,24 @@ class TestDisabledExecutive:
         assert state.views_acquired == {"CC", "MLO-L", "MLO-R"}
 
 
-def _behaviour_digest(mammobot, config) -> str:
-    """sha256 over trace JSONL plus compact log JSON for the shipped scenarios
-    in both modes and 1,000 random timelines in alternating modes.  Only bytes
-    that do not depend on the hash seed are hashed: no snapshot reprs."""
+def _pinned_traces(mammobot, config):
+    """The shipped scenarios in both modes and 1,000 random timelines in
+    alternating modes, each run through ``run_events``."""
     runs = [(Scenario.load(path).compiled_timeline(), enabled)
             for path in sorted(data_path("scenarios").glob("*.json"))
             for enabled in (True, False)]
     rng = random.Random(20261018)
     runs += [(_random_timeline(rng), i % 2 == 0) for i in range(1000)]
-    digest = hashlib.sha256()
     for events, enabled in runs:
-        trace = run_events(mammobot, config, events, enabled=enabled)
+        yield run_events(mammobot, config, events, enabled=enabled)
+
+
+def _behaviour_digest(mammobot, config) -> str:
+    """sha256 over trace JSONL plus compact log JSON for the pinned traces.
+    Only bytes that do not depend on the hash seed are hashed: no snapshot
+    reprs."""
+    digest = hashlib.sha256()
+    for trace in _pinned_traces(mammobot, config):
         digest.update(trace.to_jsonl().encode("utf-8"))
         for entry in trace.log:
             digest.update(json.dumps(entry.to_json_dict(), separators=(",", ":")).encode("utf-8"))
@@ -780,3 +787,12 @@ class TestBehaviourPinned:
         executive's decisions were each written once; a refactor must keep them."""
         assert _behaviour_digest(mammobot, config) == (
             "a5e8b91e57a551599c708169a76ad3baf06fdacfcec3fb38be50de8272ccd8f0")
+
+    def test_log_jsonl_pinned(self, mammobot, config):
+        """The bytes ``simulate --log`` writes for the pinned traces, as
+        ``log_jsonl`` wrote them when it encoded each entry's dict."""
+        digest = hashlib.sha256()
+        for trace in _pinned_traces(mammobot, config):
+            digest.update(log_jsonl(trace.log).encode("utf-8"))
+        assert digest.hexdigest() == (
+            "9da277c32d941621821e4cd6b31a4ebfe6fbc054aaf95c034f70adf7186d4f25")

@@ -1,12 +1,17 @@
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hazgate.datafiles import data_path
-from hazgate.executive import Event, ExecConfig
+from hazgate.executive import (
+    COMPACT_JSON, EVENT_KINDS, SOURCES, Event, ExecConfig, LogEntry, StepVerdict, log_jsonl,
+)
 from hazgate.model import load_model
 from hazgate.scenarios import Scenario, nominal_timeline
-from hazgate.simulate import check_expectation, run_events, run_scenario
+from hazgate.simulate import Trace, TraceStep, check_expectation, run_events, run_scenario
 
 DESIGNATED = {
     "capture_commission.json": "R24",
@@ -105,18 +110,113 @@ class TestTraceExport:
         trace = run_events(mammobot, config, timeline, enabled=True)
         assert trace.refusals
         assert trace.steps[-1].event is None  # the close-out step
-        lines = [
-            json.dumps({
-                "t": step.snapshot[0],
-                "event": step.event.to_json_dict() if step.event is not None else None,
-                "node": step.snapshot[1],
-                "emitted": list(step.emitted),
-                "verdicts": [{"kind": v.kind, "subject": v.subject,
-                              "requirement": v.requirement, "detail": v.detail}
-                             for v in step.verdicts],
-            }, separators=(",", ":"))
-            for step in trace.steps
-        ]
-        lines.append(json.dumps({"final": {"status": trace.final_status,
-                                           "node": trace.final_node}}, separators=(",", ":")))
-        assert trace.to_jsonl() == "\n".join(lines) + "\n"
+        assert trace.to_jsonl() == _reference_trace_jsonl(trace)
+
+
+# the record each --trace and --log line encodes, built as the exporters
+# built them before they wrote lines from templates: the reference they match
+def _trace_records(trace):
+    for step in trace.steps:
+        yield {
+            "t": step.snapshot[0],
+            "event": step.event.to_json_dict() if step.event is not None else None,
+            "node": step.snapshot[1],
+            "emitted": list(step.emitted),
+            "verdicts": [{"kind": v.kind, "subject": v.subject,
+                          "requirement": v.requirement, "detail": v.detail}
+                         for v in step.verdicts],
+        }
+    yield {"final": {"status": trace.final_status, "node": trace.final_node}}
+
+
+def _reference_trace_jsonl(trace):
+    return "".join(COMPACT_JSON.encode(record) + "\n" for record in _trace_records(trace))
+
+
+def _reference_log_jsonl(entries):
+    return "".join(COMPACT_JSON.encode(entry.to_json_dict()) + "\n" for entry in entries)
+
+
+def _assert_lines_load_back(text, records):
+    """Each line parses back to its record.  Compared by repr, which keeps
+    key order, tells bools from ints and lets a NaN equal itself."""
+    assert text.endswith("\n") or not records
+    lines = text.split("\n")[:-1]
+    assert len(lines) == len(records)
+    for line, record in zip(lines, records):
+        assert repr(json.loads(line)) == repr(record)
+
+
+# quotes, backslashes, control characters, non-ASCII and astral text and
+# lone surrogates; a high surrogate right before a low one would read back
+# as the one character the pair spells, so none is
+_AWKWARD_TEXT = st.text(
+    st.sampled_from('aZ "\\/\x00\x08\x1f\x7f\n\t\u00e9\u2028\u2603\ud800\udfff\U0001d11e'),
+    max_size=6).filter(lambda text: not re.search("[\ud800-\udbff][\udc00-\udfff]", text))
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.sampled_from([2**64, -(2**80)])
+            | st.floats() | _AWKWARD_TEXT)
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_AWKWARD_TEXT, inner, max_size=3),
+    max_leaves=4)
+_ACTIONS = ("selfTest", "stageIdentified", "planReady", "motionStart", "adjustments",
+            "release", "decide", "advance", "exposure", "resume")
+# the executive keys a dict on the confirmed action and on a decided guard,
+# so those two stay hashable; every other payload value is any JSON
+_PAYLOADS = st.fixed_dictionaries({}, optional={
+    "action": st.sampled_from(_ACTIONS) | _SCALARS,
+    "guard": _SCALARS,
+    "view": st.sampled_from(("CC", "MLO-L", "MLO-R")) | _JSON_VALUES,
+    "detail": _JSON_VALUES,
+    "valid": _JSON_VALUES,
+    "extra": _JSON_VALUES,
+})
+
+
+@st.composite
+def _timelines(draw):
+    events, t = [], 0
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        t += draw(st.integers(min_value=0, max_value=3000))
+        events.append(Event(t, draw(st.sampled_from(SOURCES)), draw(st.sampled_from(EVENT_KINDS)),
+                            draw(_PAYLOADS)))
+    if draw(st.booleans()):  # ends latched, so the executive closes out
+        events.append(Event(t + 1, "Sensor", "fault", {"detail": draw(_JSON_VALUES)}))
+    return events
+
+
+_VERDICTS = st.builds(StepVerdict, _AWKWARD_TEXT, _AWKWARD_TEXT,
+                      st.none() | _AWKWARD_TEXT, _AWKWARD_TEXT)
+_STEPS = st.builds(
+    TraceStep,
+    st.none() | st.builds(Event, st.integers(min_value=0), st.sampled_from(SOURCES),
+                          st.sampled_from(EVENT_KINDS), _PAYLOADS),
+    st.tuples(st.integers(min_value=0), _AWKWARD_TEXT),
+    st.lists(_AWKWARD_TEXT, max_size=3).map(tuple),
+    st.lists(_VERDICTS, max_size=3).map(tuple))
+_LOG_ENTRIES = st.builds(LogEntry, st.integers(min_value=0), _AWKWARD_TEXT, _AWKWARD_TEXT,
+                         _JSON_VALUES)
+
+
+class TestSerializerOracle:
+    """``Trace.to_jsonl`` and ``log_jsonl`` write lines from templates; they
+    must give the bytes of encoding each line's record with ``COMPACT_JSON``."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(events=_timelines(), enabled=st.booleans())
+    def test_executive_runs(self, mammobot, config, events, enabled):
+        trace = run_events(mammobot, config, events, enabled=enabled)
+        assert trace.to_jsonl() == _reference_trace_jsonl(trace)
+        _assert_lines_load_back(trace.to_jsonl(), list(_trace_records(trace)))
+        assert log_jsonl(trace.log) == _reference_log_jsonl(trace.log)
+        _assert_lines_load_back(log_jsonl(trace.log), [e.to_json_dict() for e in trace.log])
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(steps=st.lists(_STEPS, max_size=4), status=_AWKWARD_TEXT, node=_AWKWARD_TEXT,
+           entries=st.lists(_LOG_ENTRIES, max_size=4))
+    def test_hand_built_records(self, steps, status, node, entries):
+        trace = Trace(steps=steps, final_status=status, final_node=node)
+        assert trace.to_jsonl() == _reference_trace_jsonl(trace)
+        _assert_lines_load_back(trace.to_jsonl(), list(_trace_records(trace)))
+        assert log_jsonl(entries) == _reference_log_jsonl(entries)
+        _assert_lines_load_back(log_jsonl(entries), [e.to_json_dict() for e in entries])
