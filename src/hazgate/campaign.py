@@ -135,15 +135,12 @@ def _sample_injection(rng: random.Random, timeline, shard_catalog, ucas):
     if not choices:
         return None
     kind, action = rng.choice(choices)
-    matches = [
-        (i, e) for i, e in enumerate(timeline)
-        if e.kind == kind and (action is None or e.payload.get("action") == action)
-    ]
+    matches = Selector(kind=kind, action=action).matches(timeline)
     if not matches:
         return None
     ordinal = rng.randint(1, len(matches))
     target = Selector(kind=kind, action=action, ordinal=ordinal)
-    _, anchor = matches[ordinal - 1]
+    anchor = timeline[matches[ordinal - 1]]
 
     if transform == "Drop":
         return Injection(target=target, transform="Drop", source_ref=source_ref)

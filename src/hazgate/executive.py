@@ -23,6 +23,12 @@ verdict and its log line together.  Decision guards are read through one
 table, ``_GUARD_SLOTS``, naming the input slot each guard reads and
 consumes; only the live-state guards are written out.
 
+A log entry's ``mark`` (one of ``LOG_MARKS``) says what it records, so the
+monitors and reach never parse ``details``.  Only the writer sets it:
+``_grant`` marks its log kind, plan acceptance ``plan``, an unprotected
+orphan ``exposureComplete`` ``exposure``, and the ``motionComplete`` and
+``movementDetected`` handlers their own names; other entries have none.
+
 Workflow progression reads one table built per executive: for each node
 its kind, plain successor, completion slot with that slot's value while
 the action is open, guard, and true and false successors.  Events reach
@@ -198,6 +204,15 @@ class Event:
         )
 
 
+def _payload_text(event: Event, key: str, default: str) -> str:
+    """A text payload field a handler keys on or logs; checked here because an
+    event built in Python has not been through the loaders."""
+    value = event.payload.get(key, default)
+    if not isinstance(value, str):
+        raise ValueError(f"event at {event.timestamp}: payload {key} must be text, got {value!r}")
+    return value
+
+
 class ConfirmationLedger:
     """Multi-source confirmations per safety-critical action, with freshness."""
 
@@ -241,14 +256,19 @@ class ConfirmationLedger:
         return dup
 
 
-class LogEntry:
-    __slots__ = ("t", "kind", "actor", "details")
+# what a log entry records, for readers that must not parse its details
+LOG_MARKS = ("plan", "motion", "exposure", "release", "motionComplete", "movementDetected")
 
-    def __init__(self, t: int, kind: str, actor: str, details: str):
+
+class LogEntry:
+    __slots__ = ("t", "kind", "actor", "details", "mark")
+
+    def __init__(self, t: int, kind: str, actor: str, details: str, mark: str | None = None):
         self.t = t
         self.kind = kind
         self.actor = actor
         self.details = details
+        self.mark = mark  # one of LOG_MARKS or None; --log does not write it
 
     def __repr__(self):
         return f"LogEntry({self.t}, {self.kind}, {self.actor}, {self.details!r})"
@@ -265,19 +285,18 @@ class SessionLog:
     def __init__(self):
         self.entries: list[LogEntry] = []
 
-    def append(self, t: int, kind: str, actor: str, details: str) -> None:
-        if self.entries and t < self.entries[-1].t:
+    def append(self, t: int, kind: str, actor: str, details: str,
+               mark: str | None = None) -> None:
+        entries = self.entries
+        if entries and t < entries[-1].t:
             raise ValueError("log timestamps must be non-decreasing")
-        self.entries.append(LogEntry(t, kind, actor, details))
+        entries.append(LogEntry(t, kind, actor, details, mark))
 
     def __len__(self):
         return len(self.entries)
 
     def __iter__(self):
         return iter(self.entries)
-
-    def to_jsonl(self) -> str:
-        return log_jsonl(self.entries)
 
 
 # what json.dumps(obj, separators=(",", ":")) builds per call, built once
@@ -289,18 +308,10 @@ _LOG_LINE = '{"t":%d,"kind":%s,"actor":%s,"details":%s}\n'
 def log_jsonl(entries) -> str:
     """One line per log entry, ``{"t","kind","actor","details"}`` in that key
     order, with the bytes ``COMPACT_JSON.encode(entry.to_json_dict())`` gives.
-
-    ``details`` is text unless a caller handed the executive a fault
-    ``detail`` or a confirmation ``action`` that is not (the loaders reject
-    both), so only such a value goes through the encoder.
     """
     text = encode_basestring_ascii  # COMPACT_JSON's own string escape
-    return "".join([
-        _LOG_LINE % (e.t, text(e.kind), text(e.actor),
-                     text(e.details) if e.details.__class__ is str
-                     else COMPACT_JSON.encode(e.details))
-        for e in entries
-    ])
+    return "".join([_LOG_LINE % (e.t, text(e.kind), text(e.actor), text(e.details))
+                    for e in entries])
 
 
 # node roles recognised by the executive, keyed on normalized display label
@@ -547,7 +558,7 @@ def _grant(state: ExecState, emitted, verdicts, action, marker, subject, log_kin
     state.ledger.consume(action)
     emitted.append(marker)
     verdicts.append(StepVerdict("granted", subject))
-    state.log.append(state.clock, log_kind, "System", logged)
+    state.log.append(state.clock, log_kind, "System", logged, log_kind)
 
 
 class SafetyExecutive:
@@ -732,7 +743,7 @@ class SafetyExecutive:
         pass
 
     def _on_commandConfirm(self, state, event, emitted, verdicts):
-        action = event.payload.get("action", "")
+        action = _payload_text(event, "action", "")
         state.log.append(state.clock, "confirmation", event.source, action or "unspecified")
         if action in state.ledger.required and event.source in state.ledger.required[action]:
             state.ledger.record(action, event.source, state.clock)
@@ -743,7 +754,7 @@ class SafetyExecutive:
             identified = bool(event.payload.get("identified", True))
             state.stage_result = identified
             if identified:
-                view = event.payload.get("view") or self._next_view(state)
+                view = _payload_text(event, "view", "") or self._next_view(state)
                 if view in self.config.required_views:
                     state.current_view = view
                 else:
@@ -765,7 +776,7 @@ class SafetyExecutive:
             state.plan_result = True
             state.trajectory_valid = True
             emitted.append("plan-accepted")
-            state.log.append(state.clock, "plan", "System", "accepted")
+            state.log.append(state.clock, "plan", "System", "accepted", "plan")
         elif action == "motionStart":
             if self._frozen(state):
                 _refuse(state, verdicts, "motionStart", "R14", "stopped", "motionStart: stopped")
@@ -784,7 +795,7 @@ class SafetyExecutive:
             else:
                 self._try_release(state, emitted, verdicts, safe_path=safe)
         elif action == "decide":
-            name = event.payload.get("guard")
+            name = _payload_text(event, "guard", "")
             if name:
                 state.generic_decisions[name] = bool(event.payload.get("value", True))
         elif action == "advance":
@@ -811,7 +822,8 @@ class SafetyExecutive:
             self._halt_motion(state, emitted)
 
     def _on_movementDetected(self, state, event, emitted, verdicts):
-        state.log.append(state.clock, "postureChange", event.source, "unexpected movement")
+        state.log.append(state.clock, "postureChange", event.source, "unexpected movement",
+                         "movementDetected")
         if not self.enabled:
             return
         self._halt_motion(state, emitted)
@@ -826,7 +838,7 @@ class SafetyExecutive:
         state.arm_moving = False
         state.motion_done = True
         state.posture_stable_since = state.clock  # repositioned: window restarts
-        state.log.append(state.clock, "motion", "System", "complete")
+        state.log.append(state.clock, "motion", "System", "complete", "motionComplete")
 
     def _on_exposureRequest(self, state, event, emitted, verdicts):
         if self._frozen(state):
@@ -853,7 +865,7 @@ class SafetyExecutive:
                                             detail="no exposure in progress"))
                 return
             # unprotected: an orphan completion is a spontaneous exposure
-            state.log.append(state.clock, "exposure", "System", "granted")
+            state.log.append(state.clock, "exposure", "System", "granted", "exposure")
         retake = bool(event.payload.get("retake", False))
         state.exposure_in_progress = False
         state.retake_result = retake
@@ -867,7 +879,7 @@ class SafetyExecutive:
 
     def _on_fault(self, state, event, emitted, verdicts):
         state.log.append(state.clock, "fault", event.source,
-                         event.payload.get("detail", "fault raised"))
+                         _payload_text(event, "detail", "fault raised"))
         if not self.enabled:
             return
         state.fault_active = True

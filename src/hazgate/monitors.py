@@ -10,14 +10,21 @@ The same monitors run against protected (executive-enabled) and unprotected
 traces, which is what makes the hazard-injection comparisons meaningful.
 
 Facts that several monitors read are derived once per trace by a
-:class:`TraceFacts`, each on first use: the grants (R1, R15, R16, R20, R24),
-the grant classification of each log entry (R21, R23, R25) and one replay of
-the confirmation ledger, which yields R20's missing sources and the
-interlock failures at each exposure (R16, R24).  ``evaluate_monitors``
-builds one per trace and hands it to every monitor as a third argument.
-Each monitor still runs alone as ``monitor_rX(trace, config)`` and then
-builds its own, deriving only the facts it reads.  Nothing is cached on the
-trace, so a trace extended after a run is judged as it stands.
+:class:`TraceFacts`, each on first use: the grants (R1, R15, R16, R20, R24)
+and one replay of the confirmation ledger, which yields R20's missing
+sources and the interlock failures at each exposure (R16, R24).
+``evaluate_monitors`` builds one per trace and hands it to every monitor as
+a third argument.  Each monitor still runs alone as
+``monitor_rX(trace, config)`` and then builds its own, deriving only the
+facts it reads.  Nothing is cached on the trace, so a trace extended after a
+run is judged as it stands.
+
+The log monitors (R21, R23, R25) read what an entry records from its
+``mark`` (``executive.LOG_MARKS``), never its ``details``, so ``TraceFacts``
+does not classify the log.  The grants stay on the steps' actuator markers
+plus their own orphan-exposure rule, a view independent of the log: reach's
+cross-check compares its log-mark view of firings with R24, which is built
+on the grants, and grants read from the marks would compare a rule with itself.
 """
 
 from __future__ import annotations
@@ -210,12 +217,12 @@ def _replay_ledger(trace, config: ExecConfig, grants) -> tuple[list, list]:
 class TraceFacts:
     """Facts several monitors read from one trace, each derived on first use."""
 
-    __slots__ = ("trace", "config", "_grants", "_log_grants", "_ledger")
+    __slots__ = ("trace", "config", "_grants", "_ledger")
 
     def __init__(self, trace, config: ExecConfig):
         self.trace = trace
         self.config = config
-        self._grants = self._log_grants = self._ledger = None
+        self._grants = self._ledger = None
 
     @property
     def grants(self) -> list:
@@ -223,13 +230,6 @@ class TraceFacts:
         if self._grants is None:
             self._grants = _grants(self.trace)
         return self._grants
-
-    @property
-    def log_grants(self) -> list:
-        """The grant kind of each log entry (None if not a grant), in log order."""
-        if self._log_grants is None:
-            self._log_grants = [_GRANT_ENTRY.get((e.kind, e.details)) for e in self.trace.log]
-        return self._log_grants
 
     @property
     def ledger(self) -> tuple[list, list]:
@@ -292,9 +292,9 @@ def monitor_r14(trace, config: ExecConfig, facts: TraceFacts | None = None) -> M
         halted = None
         for j in range(index, len(trace.steps)):
             snap = trace.steps[j].snapshot
-            if snap[SNAP_CLOCK] > budget and halted is None:
+            if snap[SNAP_CLOCK] > budget:
                 break
-            if not snap[SNAP_ARM_MOVING] and snap[SNAP_CLOCK] <= budget:
+            if not snap[SNAP_ARM_MOVING]:
                 halted = j
                 break
         if halted is None:
@@ -397,13 +397,6 @@ def monitor_r20(trace, config: ExecConfig, facts: TraceFacts | None = None) -> M
     return _verdict("R20", violations, checked, "no safety-critical grants")
 
 
-# grant kind of a log entry, by (kind, details)
-_GRANT_ENTRY = {
-    ("plan", "accepted"): "plan",
-    ("exposure", "granted"): "exposure",
-    ("motion", "started"): "motion",
-}
-
 _STABILITY_REFERENCE_KINDS = frozenset(("postureChange", "interruption", "fault"))
 
 
@@ -413,40 +406,34 @@ def monitor_r21(trace, config: ExecConfig, facts: TraceFacts | None = None) -> M
     Walks the append-only log in processing order, so same-millisecond
     references that actually followed a grant do not mask it.
     """
-    facts = facts or TraceFacts(trace, config)
     violations = []
     checked = []
     last_ref = None
-    for i, (entry, grant) in enumerate(zip(trace.log, facts.log_grants)):
-        if grant in ("plan", "exposure"):
+    for i, entry in enumerate(trace.log):
+        if entry.mark in ("plan", "exposure"):
             checked.append(i)
             if last_ref is None:
-                violations.append((i, f"{grant} at {entry.t} before any stability reference"))
+                violations.append((i, f"{entry.mark} at {entry.t} before any stability reference"))
             elif entry.t - last_ref < config.stabilization_window_ms:
                 violations.append(
-                    (i, f"{grant} at {entry.t} only {entry.t - last_ref} ms after last posture reference")
+                    (i, f"{entry.mark} at {entry.t} only {entry.t - last_ref} ms after last posture reference")
                 )
-        if entry.kind in _STABILITY_REFERENCE_KINDS or (
-            entry.kind == "motion" and entry.details == "complete"
-        ):
+        if entry.kind in _STABILITY_REFERENCE_KINDS or entry.mark == "motionComplete":
             last_ref = entry.t
     return _verdict("R21", violations, checked, "no plan/exposure grants")
 
 
 def monitor_r23(trace, config: ExecConfig, facts: TraceFacts | None = None) -> MonitorVerdict:
     """Revalidation between any interruption/fault/movement and the next grant."""
-    facts = facts or TraceFacts(trace, config)
     violations = []
     pending_trigger = None
     saw_trigger = False
-    for i, (entry, grant) in enumerate(zip(trace.log, facts.log_grants)):
-        if grant in ("motion", "exposure") and pending_trigger is not None:
+    for i, entry in enumerate(trace.log):
+        if entry.mark in ("motion", "exposure") and pending_trigger is not None:
             violations.append(
-                (i, f"{grant} at {entry.t} after trigger at {pending_trigger} without revalidation")
+                (i, f"{entry.mark} at {entry.t} after trigger at {pending_trigger} without revalidation")
             )
-        if entry.kind in ("interruption", "fault") or (
-            entry.kind == "postureChange" and "unexpected movement" in entry.details
-        ):
+        if entry.kind in ("interruption", "fault") or entry.mark == "movementDetected":
             pending_trigger = entry.t
             saw_trigger = True
         elif entry.kind == "revalidation":
@@ -464,21 +451,20 @@ def monitor_r25(trace, config: ExecConfig, facts: TraceFacts | None = None) -> M
     clears a recoverable stop or fault instead.  A session may not end with
     a trigger still pending and no safe posture reached.
     """
-    facts = facts or TraceFacts(trace, config)
     violations = []
     pending = None  # (t, kind) of the unresolved emergency trigger
     applicable = False
-    for i, (entry, grant) in enumerate(zip(trace.log, facts.log_grants)):
+    for i, entry in enumerate(trace.log):
         if entry.kind in ("abandon", "fault", "interruption"):
             pending = (entry.t, entry.kind)
             applicable = True
         elif entry.kind == "resume" and pending is not None and pending[1] != "abandon":
             pending = None
-        elif entry.kind == "release":
+        elif entry.mark == "release":
             pending = None
-        elif pending is not None and grant in ("motion", "exposure"):
+        elif pending is not None and entry.mark in ("motion", "exposure"):
             violations.append(
-                (i, f"{grant} at {entry.t} after {pending[1]} at "
+                (i, f"{entry.mark} at {entry.t} after {pending[1]} at "
                     f"{pending[0]} without safe-posture transition")
             )
             pending = None  # report each continued operation once

@@ -14,8 +14,10 @@ copy of the parent state with its own containers, ledger and an empty log,
 so the parent stays intact for its other successors.
 
 The unsafe predicate is evaluated independently of the executive's gates:
-an exposure firing counts as unsafe when any interlock condition did not
-hold, as recomputed from the raw pre-event state by the monitors' interlock
+a transition fires an exposure when its log holds an entry marked
+``exposure`` (``executive.LOG_MARKS``), never read from the log's prose,
+and the firing is unsafe when any interlock condition did not hold, as
+recomputed from the raw pre-event state by the monitors' interlock
 predicate, ``monitors.exposure_condition_failures``.  Every newly discovered
 state is optionally cross-checked by replaying its witness path through
 ``simulate.play``, the one loop that feeds events to an executive and
@@ -190,12 +192,10 @@ def brute_force_reachability(
                 clock = state.clock + delay
                 event = Event(clock, source, kind, dict(payload))
                 branch = state.branch()
-                step = executive.handle_event(branch, event)
+                executive.handle_event(branch, event)
                 transitions += 1
 
-                fired = "fire-exposure" in step.emitted or any(
-                    e.kind == "exposure" and e.details == "granted" for e in branch.log
-                )
+                fired = any(e.mark == "exposure" for e in branch.log)
                 pre_failed = []
                 if fired:
                     # the branch is a copy, so `state` is still the pre-event state

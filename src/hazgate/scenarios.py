@@ -288,7 +288,6 @@ def _parse_items(cls, items, where: str) -> list:
 
 def nominal_timeline(
     config: ExecConfig,
-    views: tuple[str, ...] | None = None,
     rng: random.Random | None = None,
     retakes: dict[str, int] | None = None,
 ) -> list[Event]:
@@ -298,7 +297,6 @@ def nominal_timeline(
     With an rng, inter-event gaps jitter but ordering and window margins are
     preserved, so the script stays admissible under the enabled executive.
     """
-    views = tuple(views) if views is not None else config.required_views
     retakes = retakes or {}
     window = config.stabilization_window_ms
 
@@ -322,7 +320,7 @@ def nominal_timeline(
         events.append(Event(t, "System", "exposureComplete", {"retake": retake}))
         return t
 
-    for view in views:
+    for view in config.required_views:
         t += gap(500)
         events.append(Event(t, "Radiographer", "commandConfirm",
                             {"action": "stageIdentified", "view": view}))

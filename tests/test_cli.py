@@ -208,6 +208,11 @@ class TestMalformedInputs:
          "negate needs a boolean or a number, got 'selfTest'"),
         (lambda d: d.update(injections=[dict(_CORRUPT_SELF_TEST, payload_field=["ready"])]),
          "injections[0]: injection payload_field must be text, got ['ready']"),
+        (lambda d: d.update(injections=[dict(
+            _CORRUPT_SELF_TEST, target={"kind": "commandConfirm", "action": "stageIdentified",
+                                        "ordinal": 1},
+            payload_field="view", mutation="zero")]),
+         "event at 500: payload view must be text, got 0"),
         (lambda d: d["expected_outcome"].update(requirement=["R24"]),
          _EXPECTED_REQUIREMENT + "['R24']"),
         (lambda d: d["expected_outcome"].update(requirement="R99"),
@@ -220,7 +225,8 @@ class TestMalformedInputs:
          "not SafeCompletion"),
     ], ids=["no-name", "text-t", "bool-t", "misspelt-injections", "misspelt-payload",
             "foreign-version", "list-action", "list-guard", "object-view", "list-detail",
-            "object-detail", "negated-text", "list-payload-field", "list-requirement",
+            "object-detail", "negated-text", "list-payload-field", "zero-view",
+            "list-requirement",
             "unknown-requirement", "number-requirement", "null-requirement",
             "requirement-without-violation"])
     def test_malformed_scenario(self, tmp_path, capsys, mutate, reason):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,6 +13,7 @@ from hazgate.executive import (
     CONDITION_CITES,
     EXPOSURE_CONDITIONS,
     EXPOSURE_GATE,
+    LOG_MARKS,
     MOTION_CONDITIONS,
     MOTION_GATE,
     ExecConfig,
@@ -719,7 +721,7 @@ class TestSessionLog:
         executive, state = fresh(mammobot, config)
         for event in nominal_timeline(config)[:6]:
             executive.handle_event(state, event)
-        lines = state.log.to_jsonl().splitlines()
+        lines = log_jsonl(state.log).splitlines()
         assert len(lines) == len(state.log)
         parsed = [json.loads(line) for line in lines]
         assert all(list(p) == ["t", "kind", "actor", "details"] for p in parsed)
@@ -731,6 +733,23 @@ class TestSessionLog:
         transitions = [e for e in state.log if e.kind == "stageTransition"]
         assert transitions
         assert all(e.actor in ("A", "M", "SA") for e in transitions)
+
+
+class TestPayloadText:
+    """A handler rejects a payload field it keys on or logs that is not text,
+    naming the event time and the field, as the event loader does."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("field,kind,payload", [
+        ("action", "commandConfirm", {"action": ["selfTest"]}),
+        ("guard", "commandConfirm", {"action": "decide", "guard": ["g"]}),
+        ("view", "commandConfirm", {"action": "stageIdentified", "view": 0}),
+        ("detail", "fault", {"detail": ["encoder"]}),
+    ], ids=["action", "guard", "view", "detail"])
+    def test_non_text_field_rejected(self, mammobot, config, enabled, field, kind, payload):
+        executive, state = init_executive(mammobot, config, enabled=enabled)
+        with pytest.raises(ValueError, match=f"^event at 5: payload {field} must be text"):
+            executive.handle_event(state, Event(5, "Radiographer", kind, payload))
 
 
 class TestDisabledExecutive:
@@ -779,6 +798,36 @@ def _behaviour_digest(mammobot, config) -> str:
         for entry in trace.log:
             digest.update(json.dumps(entry.to_json_dict(), separators=(",", ":")).encode("utf-8"))
     return digest.hexdigest()
+
+
+# what the monitors and reach read from an entry's kind and details before
+# entries were marked; the reference each mark must equal
+_GRANT_ENTRY = {
+    ("plan", "accepted"): "plan",
+    ("exposure", "granted"): "exposure",
+    ("motion", "started"): "motion",
+}
+
+
+def _prose_mark(entry):
+    if entry.kind == "release":
+        return "release"
+    if entry.kind == "motion" and entry.details == "complete":
+        return "motionComplete"
+    if entry.kind == "postureChange" and "unexpected movement" in entry.details:
+        return "movementDetected"
+    return _GRANT_ENTRY.get((entry.kind, entry.details))
+
+
+class TestLogMarks:
+    def test_marks_equal_the_prose_reading(self, mammobot, config):
+        seen = Counter()
+        for trace in _pinned_traces(mammobot, config):
+            for entry in trace.log:
+                assert entry.mark is None or entry.mark in LOG_MARKS, entry
+                assert entry.mark == _prose_mark(entry), entry
+                seen[entry.mark] += 1
+        assert set(seen) == {None, *LOG_MARKS}, seen
 
 
 class TestBehaviourPinned:

@@ -1,10 +1,13 @@
+import ast
+import inspect
 import random
 
 import pytest
 
+from hazgate import monitors, reach
 from hazgate.acceptance import _random_timeline
 from hazgate.datafiles import data_path
-from hazgate.executive import ExecConfig, Event, LogEntry
+from hazgate.executive import LOG_MARKS, ExecConfig, Event, LogEntry
 from hazgate.model import load_model
 from hazgate.monitors import (
     MONITORED_REQUIREMENTS,
@@ -241,3 +244,38 @@ class TestSharedFacts:
         for i in range(200):
             trace = run_events(mammobot, config, _random_timeline(rng), enabled=i % 2 == 0)
             self._assert_bank_equals_alone(trace, config)
+
+
+def _constant_strings(node):
+    """The strings a constant or a tuple, list or set of constants spells."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {node.value}
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return set().union(*(_constant_strings(e) for e in node.elts))
+    return set()
+
+
+class TestNoLogProse:
+    """Monitors and reach learn what a log entry records from its mark: its
+    details are read only into an explanation, and each mark compared is
+    one the executive writes."""
+
+    @pytest.mark.parametrize("module", [monitors, reach], ids=lambda m: m.__name__)
+    def test_details_unread_and_marks_closed(self, module):
+        tree = ast.parse(inspect.getsource(module))
+        in_f_string = {id(n) for f in ast.walk(tree) if isinstance(f, ast.JoinedStr)
+                       for n in ast.walk(f)}
+        assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                and n.attr == "details" and id(n) not in in_f_string] == []
+        compared = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            if any(isinstance(o, ast.Attribute) and o.attr == "mark" for o in operands):
+                others = [o for o in operands if not (isinstance(o, ast.Attribute)
+                                                      and o.attr == "mark")]
+                assert all(_constant_strings(o) for o in others), node.lineno
+                compared |= set().union(*(_constant_strings(o) for o in others))
+        assert compared, "no mark compared"
+        assert compared <= set(LOG_MARKS), compared - set(LOG_MARKS)

@@ -161,13 +161,14 @@ _JSON_VALUES = st.recursive(
     max_leaves=4)
 _ACTIONS = ("selfTest", "stageIdentified", "planReady", "motionStart", "adjustments",
             "release", "decide", "advance", "exposure", "resume")
-# the executive keys a dict on the confirmed action and on a decided guard,
-# so those two stay hashable; every other payload value is any JSON
+# the executive rejects an action, guard, view or detail that is not text
+# (test_executive.TestPayloadText), so those are awkward text; any other value
+# is any JSON
 _PAYLOADS = st.fixed_dictionaries({}, optional={
-    "action": st.sampled_from(_ACTIONS) | _SCALARS,
-    "guard": _SCALARS,
-    "view": st.sampled_from(("CC", "MLO-L", "MLO-R")) | _JSON_VALUES,
-    "detail": _JSON_VALUES,
+    "action": st.sampled_from(_ACTIONS) | _AWKWARD_TEXT,
+    "guard": _AWKWARD_TEXT,
+    "view": st.sampled_from(("CC", "MLO-L", "MLO-R")) | _AWKWARD_TEXT,
+    "detail": _AWKWARD_TEXT,
     "valid": _JSON_VALUES,
     "extra": _JSON_VALUES,
 })
@@ -181,7 +182,7 @@ def _timelines(draw):
         events.append(Event(t, draw(st.sampled_from(SOURCES)), draw(st.sampled_from(EVENT_KINDS)),
                             draw(_PAYLOADS)))
     if draw(st.booleans()):  # ends latched, so the executive closes out
-        events.append(Event(t + 1, "Sensor", "fault", {"detail": draw(_JSON_VALUES)}))
+        events.append(Event(t + 1, "Sensor", "fault", {"detail": draw(_AWKWARD_TEXT)}))
     return events
 
 
@@ -195,7 +196,7 @@ _STEPS = st.builds(
     st.lists(_AWKWARD_TEXT, max_size=3).map(tuple),
     st.lists(_VERDICTS, max_size=3).map(tuple))
 _LOG_ENTRIES = st.builds(LogEntry, st.integers(min_value=0), _AWKWARD_TEXT, _AWKWARD_TEXT,
-                         _JSON_VALUES)
+                         _AWKWARD_TEXT)
 
 
 class TestSerializerOracle:
