@@ -214,23 +214,56 @@ def _payload_text(event: Event, key: str, default: str) -> str:
 
 
 class ConfirmationLedger:
-    """Multi-source confirmations per safety-critical action, with freshness."""
+    """Multi-source confirmations per safety-critical action, with freshness.
 
-    __slots__ = ("required", "layout", "staleness_ms", "received")
+    ``received`` is an immutable tuple aligned to ``layout``: one timestamp,
+    or ``None``, per required (action, source) pair.  A write replaces the
+    tuple rather than changing it, so ``copy`` shares it, and a copy's writes
+    rebind only the copy's own ``received``.  The layout and its index maps
+    are built once, by the ledger an executive holds, and every copy shares
+    them.  A confirmation from a source the action does not require is not
+    kept: no reader asks for one.
+    """
+
+    __slots__ = ("required", "layout", "staleness_ms", "received",
+                 "_index", "_by_action", "_by_source")
 
     def __init__(self, required: dict, staleness_ms: int):
         self.required = {k: tuple(v) for k, v in required.items()}
         # every required (action, source) pair, actions in sorted order
         self.layout = tuple([(a, s) for a in sorted(self.required) for s in self.required[a]])
         self.staleness_ms = staleness_ms
-        self.received: dict[str, dict[str, int]] = {k: {} for k in self.required}
+        self.received: tuple[int | None, ...] = (None,) * len(self.layout)
+        self._index = {pair: i for i, pair in enumerate(self.layout)}
+        self._by_action = {a: tuple([i for i, (b, _) in enumerate(self.layout) if b == a])
+                           for a in self.required}
+        self._by_source = {s: tuple([i for i, (_, p) in enumerate(self.layout) if p == s])
+                           for s in SOURCES}
+
+    def _write(self, indices: tuple[int, ...], value: int | None) -> None:
+        received = list(self.received)
+        for i in indices:
+            received[i] = value
+        self.received = tuple(received)
+
+    def time(self, action: str, source: str) -> int | None:
+        """When ``source`` last confirmed ``action``, or None."""
+        i = self._index.get((action, source))
+        return None if i is None else self.received[i]
 
     def record(self, action: str, source: str, t: int) -> None:
-        if action in self.received:
-            self.received[action][source] = t
+        i = self._index.get((action, source))
+        if i is not None:  # _write's body, inlined on the busiest write
+            received = list(self.received)
+            received[i] = t
+            self.received = tuple(received)
+
+    def record_source(self, source: str, t: int) -> None:
+        """Record ``source`` for every action that requires it, in one write."""
+        self._write(self._by_source[source], t)
 
     def fresh(self, action: str, source: str, now: int) -> bool:
-        t = self.received.get(action, {}).get(source)
+        t = self.time(action, source)
         return t is not None and now - t <= self.staleness_ms
 
     def missing(self, action: str, now: int) -> list[str]:
@@ -240,19 +273,20 @@ class ConfirmationLedger:
         return not self.missing(action, now)
 
     def consume(self, action: str) -> None:
-        if action in self.received:
-            self.received[action] = {}
+        self._write(self._by_action.get(action, ()), None)
 
     def withdraw_source(self, source: str) -> None:
-        for confirmations in self.received.values():
-            confirmations.pop(source, None)
+        self._write(self._by_source[source], None)
 
     def copy(self) -> "ConfirmationLedger":
         dup = ConfirmationLedger.__new__(ConfirmationLedger)
         dup.required = self.required  # never mutated after __init__
         dup.layout = self.layout
         dup.staleness_ms = self.staleness_ms
-        dup.received = {k: dict(v) for k, v in self.received.items()}
+        dup.received = self.received  # immutable: a write replaces it
+        dup._index = self._index
+        dup._by_action = self._by_action
+        dup._by_source = self._by_source
         return dup
 
 
@@ -396,7 +430,7 @@ class ExecState:
         self.posture_stable_since = None
         self.patient_last_assent = None
         self.patient_not_ok = False
-        self.views_acquired: set[str] = set()
+        self.views_acquired: frozenset[str] = frozenset()
         self.retake_count: dict[str, int] = {}
         self.current_view = None
         self.self_test_result = None
@@ -423,10 +457,13 @@ class ExecState:
     def branch(self) -> "ExecState":
         """Independent copy for search branching, with an empty log.
 
-        Every slot is copied; the mutable containers and the ledger get
-        their own copies, so handling an event on the branch leaves this
-        state untouched.  The log starts empty so each branch records only
-        its own step's entries.
+        Every slot is either an immutable value, shared as it is, or a
+        container of the branch's own, so handling an event on the branch
+        leaves this state untouched.  ``views_acquired`` is a frozenset that
+        a new view replaces; ``retake_count`` and ``generic_decisions`` are
+        copied, as a new empty dict when empty.  The ledger is a copy of its
+        own whose record tuple is shared until the branch writes it.  The log
+        starts empty so each branch records only its own step's entries.
         """
         dup = ExecState.__new__(ExecState)
         dup.current_node = self.current_node
@@ -441,8 +478,8 @@ class ExecState:
         dup.posture_stable_since = self.posture_stable_since
         dup.patient_last_assent = self.patient_last_assent
         dup.patient_not_ok = self.patient_not_ok
-        dup.views_acquired = set(self.views_acquired)
-        dup.retake_count = dict(self.retake_count)
+        dup.views_acquired = self.views_acquired
+        dup.retake_count = dict(self.retake_count) if self.retake_count else {}
         dup.current_view = self.current_view
         dup.self_test_result = self.self_test_result
         dup.stage_result = self.stage_result
@@ -450,7 +487,7 @@ class ExecState:
         dup.plan_result = self.plan_result
         dup.adjustments_result = self.adjustments_result
         dup.retake_result = self.retake_result
-        dup.generic_decisions = dict(self.generic_decisions)
+        dup.generic_decisions = dict(self.generic_decisions) if self.generic_decisions else {}
         dup.motion_done = self.motion_done
         dup.generic_advance = self.generic_advance
         dup.exposure_in_progress = self.exposure_in_progress
@@ -745,8 +782,7 @@ class SafetyExecutive:
     def _on_commandConfirm(self, state, event, emitted, verdicts):
         action = _payload_text(event, "action", "")
         state.log.append(state.clock, "confirmation", event.source, action or "unspecified")
-        if action in state.ledger.required and event.source in state.ledger.required[action]:
-            state.ledger.record(action, event.source, state.clock)
+        state.ledger.record(action, event.source, state.clock)  # kept if required
 
         if action == "selfTest":
             state.self_test_result = bool(event.payload.get("ready", True))
@@ -873,7 +909,7 @@ class SafetyExecutive:
         if retake:
             state.retake_count[view] = state.retake_count.get(view, 0) + 1
         else:
-            state.views_acquired.add(view)
+            state.views_acquired = state.views_acquired | {view}
         state.log.append(state.clock, "exposure", "System",
                          f"complete view={view} retake={'yes' if retake else 'no'}")
 
@@ -933,9 +969,7 @@ class SafetyExecutive:
         state.log.append(state.clock, "confirmation", event.source, "assent")
         state.patient_last_assent = state.clock
         state.patient_not_ok = False
-        for action, sources in state.ledger.required.items():
-            if "Patient" in sources:
-                state.ledger.record(action, "Patient", state.clock)
+        state.ledger.record_source("Patient", state.clock)
 
     def _on_assentWithdrawn(self, state, event, emitted, verdicts):
         state.log.append(state.clock, "withdrawal", event.source, "assent withdrawn")
@@ -1002,6 +1036,9 @@ class SafetyExecutive:
         if self._frozen(state):
             return
         steps = self._steps
+        kind, _, slot, open_value, _, _, _ = steps[state.current_node]
+        if kind == KIND_ACTION and getattr(state, slot) is open_value:
+            return  # resting on an open action: the loop's first pass would stop here
         for _ in range(self.config.step_cap):
             kind, nxt, slot, open_value, guard, if_true, if_false = steps[state.current_node]
             if kind == KIND_DECISION:

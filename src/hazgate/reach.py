@@ -10,8 +10,13 @@ functions of the event history.  The key reads the stabilization window
 through the executive's own ``stabilization_elapsed``.
 
 Each transition handles its event on ``ExecState.branch()``, a slot-wise
-copy of the parent state with its own containers, ledger and an empty log,
-so the parent stays intact for its other successors.
+copy of the parent state with an empty log.  The branch shares only
+immutable values with its parent, the ledger's record tuple and the
+acquired-views frozenset among them, and has its own mutable containers and
+ledger object, so the parent stays intact for its other successors.  The
+search builds one ``Event`` per parent clock and stimulus and applies it at
+every state with that clock; ``handle_event`` never writes to its event, so
+the transitions and witness paths that share one see the same event.
 
 The unsafe predicate is evaluated independently of the executive's gates:
 a transition fires an exposure when its log holds an entry marked
@@ -101,8 +106,8 @@ def stimuli_for(alphabet) -> list[tuple[str, dict]]:
 
 
 def abstract_key(state: ExecState, config: ExecConfig) -> tuple:
-    received = state.ledger.received
-    ledger_bits = tuple([source in received[action] for action, source in state.ledger.layout])
+    # one bit per pair of the ledger's layout: is a confirmation held
+    ledger_bits = tuple([t is not None for t in state.ledger.received])
     return (
         state.current_node, state.posture_valid,
         state.trajectory_valid, state.arm_moving, state.exposure_in_progress, state.interruption_active,
@@ -112,8 +117,8 @@ def abstract_key(state: ExecState, config: ExecConfig) -> tuple:
         state.self_test_result, state.stage_result, state.posture_result,
         state.plan_result, state.adjustments_result, state.retake_result,
         state.motion_done, state.session_status, state.current_view,
-        frozenset(state.views_acquired),
-        tuple(sorted(state.retake_count.items())),
+        state.views_acquired,
+        tuple(sorted(state.retake_count.items())) if state.retake_count else (),
         ledger_bits,
     )
 
@@ -171,6 +176,10 @@ def brute_force_reachability(
         for kind, payload in stimuli_for(alphabet)
     ]
 
+    # one event per (parent clock, stimulus), shared by every transition
+    # that applies it; handle_event never mutates an event
+    events_at: dict[int, list[Event]] = {}
+
     initial = executive.init_state()
     visited = {abstract_key(initial, reach_config)}
     # frontier entries: (state, witness path, any unsafe grant along the path)
@@ -188,29 +197,34 @@ def brute_force_reachability(
         depth += 1
         next_frontier: list[tuple[ExecState, list[Event], bool]] = []
         for state, path, path_unsafe in frontier:
-            for kind, source, payload, delay in stimuli:
-                clock = state.clock + delay
-                event = Event(clock, source, kind, dict(payload))
+            events = events_at.get(state.clock)
+            if events is None:
+                events = events_at[state.clock] = [
+                    Event(state.clock + delay, source, kind, dict(payload))
+                    for kind, source, payload, delay in stimuli]
+            for event in events:
                 branch = state.branch()
                 executive.handle_event(branch, event)
                 transitions += 1
 
-                fired = any(e.mark == "exposure" for e in branch.log)
                 pre_failed = []
-                if fired:
-                    # the branch is a copy, so `state` is still the pre-event state
-                    received = state.ledger.received.get("exposure", {})
-                    pre_failed = exposure_condition_failures(
-                        state.posture_valid, state.posture_stable_since, state.arm_moving,
-                        received.get("Patient"), received.get("Radiographer"),
-                        state.fault_active, state.interruption_active,
-                        state.revalidation_required, clock, reach_config,
-                    )
+                for entry in branch.log.entries:
+                    if entry.mark == "exposure":  # the transition fired an exposure
+                        # the branch is a copy, so `state` is still the pre-event state
+                        ledger = state.ledger
+                        pre_failed = exposure_condition_failures(
+                            state.posture_valid, state.posture_stable_since, state.arm_moving,
+                            ledger.time("exposure", "Patient"),
+                            ledger.time("exposure", "Radiographer"),
+                            state.fault_active, state.interruption_active,
+                            state.revalidation_required, event.timestamp, reach_config,
+                        )
+                        break
                 unsafe = bool(pre_failed)
                 if unsafe and counterexample is None:
                     counterexample = path + [event]
                     unsafe_detail = (
-                        f"exposure fired at t={clock} with failed conditions: "
+                        f"exposure fired at t={event.timestamp} with failed conditions: "
                         + ",".join(pre_failed)
                     )
                     if stop_at_first:

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import json
@@ -28,6 +29,7 @@ from hazgate.executive import (
     stabilization_elapsed,
 )
 from hazgate.model import load_model, normalize_label, parse_model
+from hazgate.reach import brute_force_reachability
 from hazgate.scenarios import Scenario, nominal_timeline
 from hazgate.simulate import run_events
 
@@ -55,6 +57,12 @@ def fresh(mammobot, config, enabled=True):
     return init_executive(mammobot, config, enabled=enabled)
 
 
+def confirmations(ledger) -> dict:
+    """Every required (action, source) pair -> its confirmation time or None,
+    read through the ledger's own reader."""
+    return {(action, source): ledger.time(action, source) for action, source in ledger.layout}
+
+
 def run_prefix(executive, state, events, until_ms):
     for event in events:
         if event.timestamp > until_ms:
@@ -69,7 +77,7 @@ class TestInit:
         assert not state.exposure_in_progress
         assert state.self_test_result is None
         assert len(state.log) == 0
-        assert all(not v for v in state.ledger.received.values())
+        assert all(t is None for t in confirmations(state.ledger).values())
 
     def test_zero_stabilization_window_accepted(self, mammobot):
         config = ExecConfig(stabilization_window_ms=0)
@@ -187,7 +195,7 @@ class TestBranch:
         run_prefix(executive, state, events, events[len(events) * 2 // 3].timestamp)
         state.generic_decisions["someGuard"] = True
         assert state.views_acquired and state.retake_count and len(state.log)
-        assert any(state.ledger.received.values())
+        assert any(t is not None for t in confirmations(state.ledger).values())
         return state
 
     def test_every_slot_copied_and_log_empty(self, mid_session):
@@ -198,7 +206,7 @@ class TestBranch:
             value = getattr(branch, slot)  # AttributeError if never set
             if slot == "ledger":
                 assert value is not mid_session.ledger
-                assert value.received == mid_session.ledger.received
+                assert confirmations(value) == confirmations(mid_session.ledger)
                 assert value.required == mid_session.ledger.required
                 assert value.staleness_ms == mid_session.ledger.staleness_ms
             else:
@@ -206,26 +214,57 @@ class TestBranch:
         assert len(branch.log) == 0
         assert branch.snapshot() == mid_session.snapshot()
 
-    def test_mutating_branch_leaves_original(self, mid_session):
+    def test_mutating_branch_leaves_original(self, mammobot, config, mid_session):
         views = set(mid_session.views_acquired)
         retakes = dict(mid_session.retake_count)
         decisions = dict(mid_session.generic_decisions)
-        received = {k: dict(v) for k, v in mid_session.ledger.received.items()}
+        received = confirmations(mid_session.ledger)
         log_length = len(mid_session.log)
 
+        # every write goes through the executive or the ledger API, as a
+        # search branch's writes do
+        executive = SafetyExecutive(mammobot, config)
         branch = mid_session.branch()
-        branch.views_acquired.add("XX")
-        branch.retake_count["XX"] = 9
-        branch.generic_decisions["other"] = False
+        t = branch.clock
+        for retake, view in ((True, "CC"), (False, None)):
+            branch.exposure_in_progress = True
+            branch.current_view = view  # None: the next view not yet acquired
+            executive.handle_event(branch, Event(t, "System", "exposureComplete",
+                                                 {"retake": retake}))
+        executive.handle_event(branch, Event(t, "Radiographer", "commandConfirm",
+                                             {"action": "decide", "guard": "other",
+                                              "value": False}))
         branch.ledger.record("exposure", "Patient", 10**9)
         branch.ledger.consume("motionStart")
+        branch.ledger.withdraw_source("Radiographer")
         branch.log.append(10**9, "note", "System", "branch only")
+        assert branch.views_acquired != views
+        assert branch.retake_count != retakes
+        assert branch.generic_decisions != decisions
+        assert confirmations(branch.ledger) != received
 
         assert mid_session.views_acquired == views
         assert mid_session.retake_count == retakes
         assert mid_session.generic_decisions == decisions
-        assert mid_session.ledger.received == received
+        assert confirmations(mid_session.ledger) == received
         assert len(mid_session.log) == log_length
+
+    def test_branch_shares_only_immutable_values(self, mid_session):
+        """A slot the branch shares with its parent holds an immutable value,
+        so no write to either can reach the other; the ledger's record of
+        confirmations is itself immutable, so its copy may share it."""
+        branch = mid_session.branch()
+        for slot in ExecState.__slots__:
+            value = getattr(branch, slot)
+            assert value is not getattr(mid_session, slot) or _immutable(value), slot
+        assert branch.ledger.received is mid_session.ledger.received
+        assert _immutable(branch.ledger.received)
+
+
+def _immutable(value) -> bool:
+    if type(value) in (tuple, frozenset):
+        return all(_immutable(item) for item in value)
+    return value is None or type(value) in (bool, int, str)
 
 
 class TestNominalSession:
@@ -287,11 +326,10 @@ class TestExposureGate:
             elif condition == "armImmobility":
                 state.arm_moving = True
             elif condition == "patientAssentFresh":
-                state.ledger.received["exposure"].pop("Patient")
+                state.ledger.withdraw_source("Patient")
             elif condition == "radiographerConfirmFresh":
-                state.ledger.received["exposure"]["Radiographer"] = (
-                    now - config.confirmation_staleness_ms - 1
-                )
+                state.ledger.record("exposure", "Radiographer",
+                                    now - config.confirmation_staleness_ms - 1)
             elif condition == "noFault":
                 state.fault_active = True
             elif condition == "noInterruption":
@@ -547,7 +585,8 @@ class TestGrantsConsumeConfirmations:
         executive, state = fresh(mammobot, config)
         for event in nominal_timeline(config):
             if marker in executive.handle_event(state, event).emitted:
-                assert state.ledger.received[action] == {}
+                assert all(state.ledger.time(action, source) is None
+                           for source in state.ledger.required[action])
                 return
         pytest.fail(f"the nominal session never emitted {marker}")
 
@@ -583,7 +622,10 @@ def _set(**slots):
 
 def _unconfirm(action, source):
     def withdraw(executive, state, request):
-        state.ledger.received[action].pop(source)
+        # the request reads only its own action's confirmations, so
+        # withdrawing the source from every action breaks only this one
+        assert state.ledger.time(action, source) is not None
+        state.ledger.withdraw_source(source)
         return request
     return withdraw
 
@@ -776,15 +818,20 @@ class TestDisabledExecutive:
         assert state.views_acquired == {"CC", "MLO-L", "MLO-R"}
 
 
-def _pinned_traces(mammobot, config):
-    """The shipped scenarios in both modes and 1,000 random timelines in
-    alternating modes, each run through ``run_events``."""
+def _pinned_runs() -> list:
+    """(events, enabled) for the shipped scenarios in both modes and 1,000
+    random timelines in alternating modes."""
     runs = [(Scenario.load(path).compiled_timeline(), enabled)
             for path in sorted(data_path("scenarios").glob("*.json"))
             for enabled in (True, False)]
     rng = random.Random(20261018)
     runs += [(_random_timeline(rng), i % 2 == 0) for i in range(1000)]
-    for events, enabled in runs:
+    return runs
+
+
+def _pinned_traces(mammobot, config):
+    """Each pinned run through ``run_events``."""
+    for events, enabled in _pinned_runs():
         yield run_events(mammobot, config, events, enabled=enabled)
 
 
@@ -845,3 +892,43 @@ class TestBehaviourPinned:
             digest.update(log_jsonl(trace.log).encode("utf-8"))
         assert digest.hexdigest() == (
             "9da277c32d941621821e4cd6b31a4ebfe6fbc054aaf95c034f70adf7186d4f25")
+
+
+def _event_fields(event) -> tuple:
+    return event.timestamp, event.source, event.kind, copy.deepcopy(event.payload)
+
+
+class TestEventsUnchanged:
+    """handle_event never writes to its event, so reach can apply one Event
+    to every state at the same clock and keep it in every witness path."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """The events handled, each checked to leave handle_event as it came."""
+        handle_event = SafetyExecutive.handle_event
+        events = []
+
+        def checking(executive, state, event):
+            before = _event_fields(event)
+            result = handle_event(executive, state, event)
+            assert _event_fields(event) == before, event
+            events.append(event)
+            return result
+
+        monkeypatch.setattr(SafetyExecutive, "handle_event", checking)
+        return events
+
+    def test_pinned_timelines(self, mammobot, config, checked):
+        runs = _pinned_runs()
+        for events, enabled in runs:
+            run_events(mammobot, config, events, enabled=enabled)
+        assert len(checked) == sum(len(events) for events, _ in runs)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_every_reach_stimulus_at_every_depth_4_state(self, mammobot, config, checked,
+                                                         enabled):
+        result = brute_force_reachability(mammobot, config, max_depth=5,
+                                          executive_enabled=enabled, stop_at_first=False,
+                                          cross_check=False)
+        assert len(checked) == result.transitions
+        assert len({id(event) for event in checked}) < result.transitions  # shared events

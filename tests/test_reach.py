@@ -1,3 +1,5 @@
+import hashlib
+import json
 from dataclasses import replace
 
 import pytest
@@ -19,6 +21,13 @@ KEY_EXCLUDED = {
     "generic_decisions": "written only by a decide confirmation, which the search never sends",
     "generic_advance": "written only by an advance confirmation, which the search never sends",
 }
+
+
+def report_sha256(result) -> str:
+    """sha256 of the reach report's JSON, keys sorted, as ``hazgate reach --json``
+    orders them."""
+    return hashlib.sha256(
+        json.dumps(result.to_json_dict(), sort_keys=True).encode("utf-8")).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +74,7 @@ class TestAbstractKey:
             "current_node": "identify_stage",
             "posture_stable_since": -config.stabilization_window_ms,
             "patient_last_assent": 0,
-            "views_acquired": {"CC"},
+            "views_acquired": frozenset({"CC"}),
             "retake_count": {"CC": 1},
             "current_view": "CC",
             "session_status": STATUS_ABANDONED,
@@ -140,6 +149,8 @@ class TestUnprotected:
         assert result.cross_check_disagreements == []
         assert (result.states_explored, result.transitions, result.cross_checked) == (
             10650, 63360, 10649)
+        assert report_sha256(result) == (
+            "8b71d36dc7e7869f648c43ac3b925ee80c72dbc4afe8abd71a859f3d964a6ed5")
 
     def test_counterexample_replays_to_violation(self, mammobot, config):
         from hazgate.monitors import monitor_r24
@@ -165,6 +176,8 @@ class TestProtected:
         assert result.cross_check_disagreements == []
         assert (result.states_explored, result.transitions, result.cross_checked) == (
             4383, 46245, 4382)
+        assert report_sha256(result) == (
+            "595076628f15241ec0a0f6369fb51cf0c421382b6d5fd4531dbb6d18d1ce39ac")
 
     def test_cross_check_catches_a_branch_sharing_its_ledger(self, mammobot, config,
                                                               monkeypatch):
