@@ -172,9 +172,10 @@ def cmd_stpa_report(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .executive import ExecConfig, log_jsonl
+    from .executive import ExecConfig
     from .model import load_model
     from .scenarios import Scenario
+    from .session import log_jsonl
     from .simulate import check_expectation, run_scenario
 
     model = load_model(args.model)

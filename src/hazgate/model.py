@@ -499,21 +499,3 @@ def serialize_model(m: ProcessModel) -> str:
             entry += f" when={'true' if e.guard_value else 'false'}"
         lines.append(entry)
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Graph queries
-# ---------------------------------------------------------------------------
-
-
-def node_successors(m: ProcessModel, node_id: str, guard_value: bool | None = None) -> list[str]:
-    """Successor node ids; decisions take the edge matching ``guard_value``."""
-    node = m.node(node_id)  # raises KeyError for unknown ids
-    if node.kind == KIND_DECISION:
-        if guard_value is None:
-            raise ValueError(f"decision {node_id!r} needs a guard polarity")
-        return [e.dst for e in m.out_edges(node_id) if e.guard_value is guard_value]
-    if guard_value is not None:
-        raise ValueError(f"{node_id!r} is not a decision; no polarity applies")
-    return [e.dst for e in m.out_edges(node_id)]
-

@@ -20,7 +20,7 @@ facts it reads.  Nothing is cached on the trace, so a trace extended after a
 run is judged as it stands.
 
 The log monitors (R21, R23, R25) read what an entry records from its
-``mark`` (``executive.LOG_MARKS``), never its ``details``, so ``TraceFacts``
+``mark`` (``session.LOG_MARKS``), never its ``details``, so ``TraceFacts``
 does not classify the log.  The grants stay on the steps' actuator markers
 plus their own orphan-exposure rule, a view independent of the log: reach's
 cross-check compares its log-mark view of firings with R24, which is built
@@ -32,8 +32,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .executive import (
-    LOGGABLE_EVENT_FAMILY,
+from .executive import LOGGABLE_EVENT_FAMILY, ExecConfig
+from .session import (
     SNAP_ARM_MOVING,
     SNAP_CLOCK,
     SNAP_COMPLIANCE,
@@ -44,7 +44,6 @@ from .executive import (
     SNAP_REVALIDATION,
     SNAP_STABLE_SINCE,
     SNAP_TRAJECTORY_VALID,
-    ExecConfig,
 )
 
 SATISFIED = "Satisfied"

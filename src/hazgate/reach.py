@@ -20,7 +20,7 @@ the transitions and witness paths that share one see the same event.
 
 The unsafe predicate is evaluated independently of the executive's gates:
 a transition fires an exposure when its log holds an entry marked
-``exposure`` (``executive.LOG_MARKS``), never read from the log's prose,
+``exposure`` (``session.LOG_MARKS``), never read from the log's prose,
 and the firing is unsafe when any interlock condition did not hold, as
 recomputed from the raw pre-event state by the monitors' interlock
 predicate, ``monitors.exposure_condition_failures``.  Every newly discovered
@@ -41,15 +41,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 
-from .executive import (
-    Event,
-    ExecConfig,
-    ExecState,
-    SafetyExecutive,
-    stabilization_elapsed,
-)
+from .executive import Event, ExecConfig, SafetyExecutive
 from .model import ProcessModel
 from .monitors import VIOLATED, exposure_condition_failures, monitor_r24
+from .session import ExecState, stabilization_elapsed
 from .simulate import play
 
 REACH_STALENESS_MS = 10**9

@@ -17,11 +17,12 @@ replays its witness paths through it without one.  Outcomes:
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-from .executive import COMPACT_JSON, ExecConfig, ExecState, SafetyExecutive
+from .executive import ExecConfig, SafetyExecutive
 from .model import ProcessModel
 from .monitors import VIOLATED, MonitorVerdict, evaluate_monitors
 from .scenarios import (
@@ -30,6 +31,7 @@ from .scenarios import (
     OUTCOME_VIOLATION,
     Scenario,
 )
+from .session import SNAP_CLOCK, SNAP_NODE, ExecState
 
 OUTCOME_VIOLATION_FOUND = "Violation"
 
@@ -40,6 +42,9 @@ class TraceStep(NamedTuple):
     emitted: tuple
     verdicts: tuple
 
+
+# what json.dumps(obj, separators=(",", ":")) builds per call, built once
+COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 
 # one --trace line per step, then the final line; see Trace.to_jsonl
 _STEP_LINE = '{"t":%d,"event":%s,"node":%s,"emitted":[%s],"verdicts":[%s]}'
@@ -83,7 +88,7 @@ class Trace:
                 event_json = _EVENT % (event.timestamp, text(event.source), text(event.kind),
                                        COMPACT_JSON.encode(payload) if payload else "{}")
             lines.append(_STEP_LINE % (
-                snapshot[0], event_json, text(snapshot[1]), ",".join(map(text, emitted)),
+                snapshot[SNAP_CLOCK], event_json, text(snapshot[SNAP_NODE]), ",".join(map(text, emitted)),
                 ",".join([_VERDICT % (text(v.kind), text(v.subject),
                                       "null" if v.requirement is None else text(v.requirement),
                                       text(v.detail))

@@ -1,12 +1,10 @@
-"""Control-structure modelling, unsafe-control-action catalogs and
-requirement traceability.
+"""Unsafe-control-action catalogs and requirement traceability.
 
-The control structure names the human and automated controllers, the
-processes they act on, and the feedback loops between them.  Candidate
-unsafe control actions are generated in four fixed categories for every
-control action; the shipped catalogs carry the analysed findings (UCA01..35,
-role-tagged R/P and mapped to process nodes, plus the cross-cutting common
-user errors CUE01..07).
+The shipped catalogs carry the analysed findings: UCA01..35, each keyed by
+the workflow node label it applies at and the controller role (R/P) that
+gives it, in one of four fixed categories, plus the cross-cutting common
+user errors CUE01..07.  No control structure is modelled here, because the
+rows name nodes and roles, not control actions.
 
 The UCA and CUE catalogs, the requirements registry and the trace links are
 read through the SHARD catalog's loader, :func:`hazgate.shard.load_records`.
@@ -24,7 +22,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from .jsoncheck import json_list, json_object
-from .model import Node, normalize_label
+from .model import normalize_label
 from .shard import (
     HAZARD_LEVELS,
     NODE_COLUMN,
@@ -45,103 +43,6 @@ ROLES = ("R", "P")  # radiographer / patient
 
 _UCA_ID = re.compile(r"UCA\d{2}")
 _CUE_ID = re.compile(r"CUE0[1-7]")
-
-
-@dataclass(frozen=True)
-class ControlAction:
-    controller: str
-    name: str
-    target: str
-
-
-@dataclass(frozen=True)
-class FeedbackChannel:
-    source: str
-    signal: str
-    controller: str
-
-
-@dataclass
-class ControlStructure:
-    controllers: tuple[str, ...]
-    controlled_processes: tuple[str, ...]
-    control_actions: list[ControlAction]
-    feedback_channels: list[FeedbackChannel]
-
-    def action(self, controller: str, name: str) -> ControlAction:
-        for ca in self.control_actions:
-            if ca.controller == controller and ca.name == name:
-                return ca
-        raise KeyError(f"no control action {controller}->{name}")
-
-
-def canonical_control_structure() -> ControlStructure:
-    """Controllers, processes and loops of the assisted-mammography system."""
-    r, p, sx = "Radiographer", "Patient", "SafetyExecutive"
-    arms, xray, wf = "RobotArms", "XRayUnit", "WorkflowState"
-    return ControlStructure(
-        controllers=(r, p, sx),
-        controlled_processes=(arms, xray, wf),
-        control_actions=[
-            ControlAction(r, "motionStart", arms),
-            ControlAction(r, "planApproval", wf),
-            ControlAction(r, "stageAdvance", wf),
-            ControlAction(r, "exposureTrigger", xray),
-            ControlAction(r, "releaseCommand", arms),
-            ControlAction(r, "stopRequest", wf),
-            ControlAction(p, "assent", wf),
-            ControlAction(p, "stopRequest", wf),
-            ControlAction(p, "postureHold", arms),
-            ControlAction(sx, "motionEnable", arms),
-            ControlAction(sx, "exposureEnable", xray),
-            ControlAction(sx, "complianceMode", arms),
-        ],
-        feedback_channels=[
-            FeedbackChannel(arms, "forceTorque", sx),
-            FeedbackChannel(arms, "motionStatus", r),
-            FeedbackChannel(xray, "exposureStatus", r),
-            FeedbackChannel(wf, "stageIndicator", r),
-            FeedbackChannel(wf, "statusCues", p),
-            FeedbackChannel(wf, "postureConfidence", sx),
-        ],
-    )
-
-
-# Context-specific phrasing for well-known actions; generic templates cover
-# the rest.
-_TIMING_HINTS = {
-    "exposureTrigger": "exposure triggered before posture stability confirmed",
-    "motionStart": "motion started before posture validation and consent complete",
-    "releaseCommand": "release commanded before motion complete and patient stable",
-}
-
-
-@dataclass
-class UcaCandidate:
-    action: ControlAction
-    category: str
-    description: str
-    status: str = "Pending"
-
-
-def generate_uca_candidates(cs: ControlStructure, action: ControlAction) -> list[UcaCandidate]:
-    """Exactly one Pending candidate per category for the given action."""
-    if action not in cs.control_actions:
-        raise KeyError(f"unknown control action {action}")
-    who, what = action.controller, action.name
-    timing = f"{who} provides {what} too early, too late, or out of sequence"
-    hint = _TIMING_HINTS.get(what)
-    if hint:
-        timing += f" (e.g., {hint})"
-    texts = {
-        "NotProvided": f"{who} does not provide {what} when it is required",
-        "ProvidedUnsafe": f"{who} provides {what} when conditions make it unsafe",
-        "WrongTimingOrSequence": timing,
-        "WrongDurationOrPersistence": (
-            f"{who} applies {what} for too long or stops it too soon"
-        ),
-    }
-    return [UcaCandidate(action, cat, texts[cat]) for cat in UCA_CATEGORIES]
 
 
 @dataclass(frozen=True)
@@ -183,11 +84,6 @@ def load_uca_catalog(path) -> list[UcaRecord]:
 def load_cue_catalog(path) -> list[CueRecord]:
     return load_records(read_csv_rows(path, "cue-catalog/1"), CueRecord, Path(path).name,
                         _record_id, enums={"id": _CUE_ID, "hazard_level": HAZARD_LEVELS})
-
-
-def cue_applicability(cue: CueRecord, node: Node) -> bool:
-    """CUEs are cross-cutting: applicable at every workflow node."""
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -248,7 +248,14 @@ class TestMalformedInputs:
          "config has unknown key 'stabilisation_window_ms'"),
         ("simulate", lambda d: d.update(schema_version="exec-config/9"),
          "config schema_version must be 'exec-config/1', got 'exec-config/9'"),
-    ], ids=["text-window", "no-views", "unknown-source", "misspelt-key", "foreign-version"])
+        ("simulate", lambda d: d["ledger"].update(Resume=d["ledger"].pop("resume")),
+         "config ledger has unknown key 'Resume'"),
+        ("simulate", lambda d: d["ledger"].pop("resume"),
+         "config ledger is missing 'resume'"),
+        ("campaign", lambda d: d["ledger"].update(resume=[]),
+         "config ledger 'resume' must name at least one source"),
+    ], ids=["text-window", "no-views", "unknown-source", "misspelt-key", "foreign-version",
+            "misspelt-ledger-action", "missing-ledger-action", "empty-ledger-action"])
     def test_malformed_config(self, tmp_path, capsys, command, mutate, reason):
         bad = tmp_path / "config.json"
         bad.write_text(json.dumps(_mutated(CONFIG, mutate)))

@@ -14,23 +14,20 @@ from hazgate.executive import (
     CONDITION_CITES,
     EXPOSURE_CONDITIONS,
     EXPOSURE_GATE,
-    LOG_MARKS,
     MOTION_CONDITIONS,
     MOTION_GATE,
     ExecConfig,
-    ExecState,
     Event,
     SafetyExecutive,
     TimestampRegression,
     cite_for,
     gate_failures,
     init_executive,
-    log_jsonl,
-    stabilization_elapsed,
 )
 from hazgate.model import load_model, normalize_label, parse_model
 from hazgate.reach import brute_force_reachability
 from hazgate.scenarios import Scenario, nominal_timeline
+from hazgate.session import LOG_MARKS, ExecState, log_jsonl, stabilization_elapsed
 from hazgate.simulate import run_events
 
 MINIMAL = """\
@@ -438,6 +435,15 @@ class TestStabilization:
         assert stabilization_elapsed(state, config)
 
 
+def _resume(executive, state, confirmations):
+    """Each (source, t) confirms resume, then the Radiographer requests it at
+    the last confirmation's time; the request's result."""
+    for source, t in confirmations:
+        executive.handle_event(state, Event(t, source, "commandConfirm", {"action": "resume"}))
+    t = max(t for _, t in confirmations)
+    return executive.handle_event(state, Event(t, "Radiographer", "resumeRequest"))
+
+
 class TestProtectiveStop:
     def test_stop_mid_motion_halts_immediately(self, mammobot, config):
         executive, state = fresh(mammobot, config)
@@ -446,22 +452,22 @@ class TestProtectiveStop:
         run_prefix(executive, state, events, start.timestamp)
         assert state.arm_moving
         t = start.timestamp + 60
-        executive.request_protective_stop(state, "Patient", t)
+        executive.handle_event(state, Event(t, "Patient", "voiceStop"))
         assert state.interruption_active
         assert not state.arm_moving
         assert state.clock == t  # halt within the same simulated instant
 
     def test_stop_is_idempotent_with_second_log_entry(self, mammobot, config):
         executive, state = fresh(mammobot, config)
-        executive.request_protective_stop(state, "Patient", 100)
-        executive.request_protective_stop(state, "Radiographer", 200)
+        executive.handle_event(state, Event(100, "Patient", "voiceStop"))
+        executive.handle_event(state, Event(200, "Radiographer", "uiStop"))
         stops = [e for e in state.log if e.kind == "interruption"]
         assert len(stops) == 2
         assert state.interruption_active
 
     def test_motion_refused_while_stopped_cites_r14(self, mammobot, config):
         executive, state = fresh(mammobot, config)
-        executive.request_protective_stop(state, "Radiographer", 100)
+        executive.handle_event(state, Event(100, "Radiographer", "uiStop"))
         result = executive.handle_event(
             state, Event(200, "Radiographer", "commandConfirm", {"action": "motionStart"})
         )
@@ -469,8 +475,8 @@ class TestProtectiveStop:
 
     def test_resume_requires_both_sources(self, mammobot, config):
         executive, state = fresh(mammobot, config)
-        executive.request_protective_stop(state, "Patient", 100)
-        result = executive.resume_after_stop(state, [("Radiographer", 200)])
+        executive.handle_event(state, Event(100, "Patient", "voiceStop"))
+        result = _resume(executive, state, [("Radiographer", 200)])
         assert any(v.kind == "refused" and v.requirement == "R20" for v in result.verdicts)
         assert state.interruption_active
 
@@ -479,9 +485,9 @@ class TestProtectiveStop:
         events = nominal_timeline(config)
         start = next(e for e in events if e.payload.get("action") == "motionStart")
         run_prefix(executive, state, events, start.timestamp)
-        executive.request_protective_stop(state, "Patient", start.timestamp + 10)
-        result = executive.resume_after_stop(
-            state,
+        executive.handle_event(state, Event(start.timestamp + 10, "Patient", "voiceStop"))
+        result = _resume(
+            executive, state,
             [("Radiographer", start.timestamp + 100), ("Patient", start.timestamp + 150)],
         )
         assert "resume" in result.emitted
@@ -491,8 +497,8 @@ class TestProtectiveStop:
 
     def test_revalidation_clears_on_posture_plan_and_assent(self, mammobot, config):
         executive, state = fresh(mammobot, config)
-        executive.request_protective_stop(state, "Patient", 100)
-        executive.resume_after_stop(state, [("Radiographer", 200), ("Patient", 200)])
+        executive.handle_event(state, Event(100, "Patient", "voiceStop"))
+        _resume(executive, state, [("Radiographer", 200), ("Patient", 200)])
         assert state.revalidation_required
         executive.handle_event(state, Event(300, "Sensor", "postureUpdate", {"valid": True}))
         executive.handle_event(state, Event(300, "Patient", "assent"))
@@ -505,7 +511,7 @@ class TestProtectiveStop:
 
     def test_stale_confirmations_refused(self, mammobot, config):
         executive, state = fresh(mammobot, config)
-        executive.request_protective_stop(state, "Patient", 1000)
+        executive.handle_event(state, Event(1000, "Patient", "voiceStop"))
         state.ledger.record("resume", "Radiographer", 1000)
         state.ledger.record("resume", "Patient", 1000)
         late = 1000 + config.confirmation_staleness_ms + 1

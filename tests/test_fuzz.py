@@ -24,10 +24,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hazgate.datafiles import data_path
-from hazgate.executive import EVENT_KINDS, SOURCES, Event, ExecConfig, log_jsonl
+from hazgate.executive import EVENT_KINDS, Event, ExecConfig
 from hazgate.model import ACTOR_MODES, NODE_KINDS, load_model, parse_model, validate_model
 from hazgate.reporting import build_shard_bundle, build_stpa_bundle
 from hazgate.scenarios import MUTATIONS, TRANSFORMS, Scenario
+from hazgate.session import SOURCES, log_jsonl
 from hazgate.shard import (
     GUIDEWORDS,
     HAZARD_LEVELS,

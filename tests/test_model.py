@@ -9,12 +9,10 @@ from gen import break_reachability, random_valid_model
 from hazgate.datafiles import data_path
 from hazgate.model import (
     KIND_ACTION,
-    KIND_DECISION,
     ModelError,
     ParseError,
     ProcessModel,
     load_model,
-    node_successors,
     parse_model,
     serialize_model,
     validate_model,
@@ -76,10 +74,11 @@ class TestCanonicalModel:
         }
 
     def test_replan_loop(self, mammobot):
-        assert node_successors(mammobot, "trajectory_valid", False) == ["plan_trajectory"]
+        assert [e.dst for e in mammobot.out_edges("trajectory_valid")
+                if e.guard_value is False] == ["plan_trajectory"]
 
     def test_capture_flows_into_retake_check(self, mammobot):
-        assert node_successors(mammobot, "capture_xray") == ["retake_needed"]
+        assert [e.dst for e in mammobot.out_edges("capture_xray")] == ["retake_needed"]
 
     def test_json_export_mirrors_fields(self, mammobot):
         data = mammobot.to_json_dict()
@@ -93,7 +92,7 @@ class TestParsing:
         m = parse_model(MINIMAL)
         assert len(m.actions()) == 1
         assert validate_model(m) == []
-        assert node_successors(m, "work") == ["end"]
+        assert [e.dst for e in m.out_edges("work")] == ["end"]
 
     def test_minimal_roundtrip_and_line_count(self):
         m = parse_model(MINIMAL)
@@ -197,19 +196,7 @@ def test_roundtrip_property(seed):
 
 
 class TestSuccessors:
-    def test_unknown_id(self, mammobot):
-        with pytest.raises(KeyError):
-            node_successors(mammobot, "nope")
-
-    def test_polarity_on_action_rejected(self, mammobot):
-        with pytest.raises(ValueError):
-            node_successors(mammobot, "capture_xray", True)
-
-    def test_decision_requires_polarity(self, mammobot):
-        with pytest.raises(ValueError):
-            node_successors(mammobot, "system_ready")
-
     def test_every_decision_has_both_polarities(self, mammobot):
         for d in mammobot.decisions():
-            assert len(node_successors(mammobot, d.id, True)) == 1
-            assert len(node_successors(mammobot, d.id, False)) == 1
+            assert len([e for e in mammobot.out_edges(d.id) if e.guard_value is True]) == 1
+            assert len([e for e in mammobot.out_edges(d.id) if e.guard_value is False]) == 1

@@ -7,7 +7,7 @@ import pytest
 from hazgate import monitors, reach
 from hazgate.acceptance import _random_timeline
 from hazgate.datafiles import data_path
-from hazgate.executive import LOG_MARKS, ExecConfig, Event, LogEntry
+from hazgate.executive import ExecConfig, Event
 from hazgate.model import load_model
 from hazgate.monitors import (
     MONITORED_REQUIREMENTS,
@@ -18,6 +18,7 @@ from hazgate.monitors import (
     evaluate_monitors,
 )
 from hazgate.scenarios import Scenario, nominal_timeline
+from hazgate.session import LOG_MARKS, LogEntry
 from hazgate.simulate import TraceStep, run_events
 from hazgate.stpa import load_requirements
 

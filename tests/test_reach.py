@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from hazgate.datafiles import data_path
-from hazgate.executive import STATUS_ABANDONED, ExecConfig, ExecState, SafetyExecutive
+from hazgate.executive import ExecConfig, SafetyExecutive
 from hazgate.model import load_model
 from hazgate.reach import (
     DEFAULT_ALPHABET,
@@ -13,6 +13,7 @@ from hazgate.reach import (
     brute_force_reachability,
     stimuli_for,
 )
+from hazgate.session import STATUS_ABANDONED, ExecState
 
 # ExecState slots the abstract key leaves out, each with its reason
 KEY_EXCLUDED = {

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hazgate.datafiles import data_path
-from hazgate.executive import (
-    COMPACT_JSON, EVENT_KINDS, SOURCES, Event, ExecConfig, LogEntry, StepVerdict, log_jsonl,
-)
+from hazgate.executive import EVENT_KINDS, Event, ExecConfig, StepVerdict
 from hazgate.model import load_model
 from hazgate.scenarios import Scenario, nominal_timeline
-from hazgate.simulate import Trace, TraceStep, check_expectation, run_events, run_scenario
+from hazgate.session import SOURCES, LogEntry, log_jsonl
+from hazgate.simulate import (
+    COMPACT_JSON, Trace, TraceStep, check_expectation, run_events, run_scenario,
+)
 
 DESIGNATED = {
     "capture_commission.json": "R24",

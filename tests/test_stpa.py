@@ -1,17 +1,10 @@
 import pytest
 
 from hazgate.datafiles import data_path
-from hazgate.model import load_model
 from hazgate.shard import CatalogError, load_shard_catalog
 from hazgate.stpa import (
-    UCA_CATEGORIES,
-    canonical_control_structure,
-    cue_applicability,
-    generate_uca_candidates,
     load_canonical_stpa,
     load_cue_catalog,
-    load_requirements,
-    load_trace_links,
     load_uca_catalog,
     trace_to_requirements,
 )
@@ -20,38 +13,6 @@ from hazgate.stpa import (
 @pytest.fixture(scope="module")
 def catalogs():
     return load_canonical_stpa()
-
-
-@pytest.fixture(scope="module")
-def mammobot():
-    return load_model(data_path("mammobot.proc"))
-
-
-class TestCandidates:
-    def test_exposure_trigger_candidates(self):
-        cs = canonical_control_structure()
-        action = cs.action("Radiographer", "exposureTrigger")
-        candidates = generate_uca_candidates(cs, action)
-        assert [c.category for c in candidates] == list(UCA_CATEGORIES)
-        timing = next(c for c in candidates if c.category == "WrongTimingOrSequence")
-        assert "exposure triggered before posture stability confirmed" in timing.description
-        assert all(c.status == "Pending" for c in candidates)
-
-    def test_patient_assent_candidates(self):
-        cs = canonical_control_structure()
-        candidates = generate_uca_candidates(cs, cs.action("Patient", "assent"))
-        not_provided = next(c for c in candidates if c.category == "NotProvided")
-        assert "does not provide assent" in not_provided.description
-
-    def test_every_action_yields_four(self):
-        cs = canonical_control_structure()
-        for action in cs.control_actions:
-            assert len(generate_uca_candidates(cs, action)) == 4
-
-    def test_unknown_action_rejected(self):
-        cs = canonical_control_structure()
-        with pytest.raises(KeyError):
-            generate_uca_candidates(cs, type(cs.control_actions[0])("Ghost", "x", "y"))
 
 
 class TestCatalogs:
@@ -121,23 +82,6 @@ class TestCatalogs:
         )
         with pytest.raises(CatalogError, match="CUE id"):
             load_cue_catalog(bad)
-
-
-class TestCueApplicability:
-    def test_cross_cutting_everywhere(self, catalogs, mammobot):
-        _, cues, _, _ = catalogs
-        pairs = [
-            (cue, node)
-            for cue in cues
-            for node in mammobot.nodes
-            if node.kind in ("Action", "Decision") and cue_applicability(cue, node)
-        ]
-        assert len(pairs) == 7 * 18
-
-    def test_cue04_applies_at_capture(self, catalogs, mammobot):
-        _, cues, _, _ = catalogs
-        cue04 = next(c for c in cues if c.id == "CUE04")
-        assert cue_applicability(cue04, mammobot.node_by_label("Capture X-ray"))
 
 
 class TestRequirements:
