@@ -85,17 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_validate(args) -> int:
-    from .model import ModelError, ParseError, load_model, validate_model
+    from .model import ModelError, ParseError, load_model
 
     try:
         model = load_model(args.model)
     except (ParseError, ModelError) as exc:
         print(f"invalid: {exc}")
-        return 1
-    diagnostics = validate_model(model)
-    if diagnostics:
-        for d in diagnostics:
-            print(f"invalid: {d}")
         return 1
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:

@@ -161,11 +161,15 @@ class ExecConfig:
 
 
 def _ledger_sources(ledger: dict, action: str) -> tuple[str, ...]:
-    """The sources a config ledger requires for ``action``: at least one."""
+    """The sources a config ledger requires for ``action``: at least one,
+    each named once."""
     where = f"config ledger {action!r}"
     sources = json_names(json_field(ledger, action, "config ledger"), where, SOURCES)
     if not sources:
         raise ValueError(f"{where} must name at least one source")
+    for i, source in enumerate(sources):
+        if source in sources[:i]:
+            raise ValueError(f"{where} names {source!r} more than once")
     return sources
 
 

@@ -16,7 +16,11 @@ line-oriented DSL (``.proc`` files)::
     edge work -> end
 
 Parsing, validation, serialization and the graph queries used by the
-analysis and simulation layers all live here.
+analysis and simulation layers all live here.  Each rule has one home.
+``parse_model`` checks what one line shows, and reports it with that line's
+number: syntax, actor modes, guards declared before use, and ids and guards
+declared once.  ``validate_model`` checks only the graph: initial and final
+nodes, edge ends, fan-out, and reachability.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import json
 import shlex
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 DSL_VERSION = "hazgate process v1"
 SCHEMA_VERSION = "process-model/1"
@@ -100,12 +104,6 @@ class ProcessModel:
     initial: str = ""
     final: str = ""
 
-    def node(self, node_id: str) -> Node:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(f"unknown node id: {node_id}")
-
     def node_by_label(self, label: str) -> Node:
         key = normalize_label(label)
         for n in self.nodes:
@@ -131,24 +129,8 @@ class ProcessModel:
             "name": self.name,
             "initial": self.initial,
             "final": self.final,
-            "guards": [
-                {
-                    "name": g.name,
-                    "description": g.description,
-                    "true_polarity": g.true_polarity,
-                }
-                for g in self.guards
-            ],
-            "nodes": [
-                {
-                    "id": n.id,
-                    "kind": n.kind,
-                    "label": n.label,
-                    "actor_mode": n.actor_mode,
-                    "guard": n.guard,
-                }
-                for n in self.nodes
-            ],
+            "guards": [asdict(g) for g in self.guards],
+            "nodes": [asdict(n) for n in self.nodes],
             "edges": [
                 {"from": e.src, "to": e.dst, "guard_value": e.guard_value}
                 for e in self.edges
@@ -159,28 +141,9 @@ class ProcessModel:
     def from_json_dict(cls, data: dict) -> "ProcessModel":
         return cls(
             name=data["name"],
-            nodes=[
-                Node(
-                    id=n["id"],
-                    kind=n["kind"],
-                    label=n["label"],
-                    actor_mode=n.get("actor_mode"),
-                    guard=n.get("guard"),
-                )
-                for n in data["nodes"]
-            ],
-            edges=[
-                Edge(src=e["from"], dst=e["to"], guard_value=e.get("guard_value"))
-                for e in data["edges"]
-            ],
-            guards=[
-                GuardDecl(
-                    name=g["name"],
-                    description=g.get("description", ""),
-                    true_polarity=g.get("true_polarity", ""),
-                )
-                for g in data["guards"]
-            ],
+            nodes=[Node(**n) for n in data["nodes"]],
+            edges=[Edge(e["from"], e["to"], e["guard_value"]) for e in data["edges"]],
+            guards=[GuardDecl(**g) for g in data["guards"]],
             initial=data["initial"],
             final=data["final"],
         )
@@ -216,14 +179,13 @@ def _kv(token: str, key: str, lineno: int) -> str:
 def parse_model(text: str) -> ProcessModel:
     """Parse DSL text into a validated :class:`ProcessModel`.
 
-    Raises :class:`ParseError` for malformed lines and :class:`ModelError`
-    when the parsed structure violates a model invariant (duplicate ids,
-    undeclared guards, bad fan-out, unreachable nodes, ...).
+    Raises :class:`ParseError` at the first line that breaks a line rule
+    (syntax, a bad actor, an undeclared guard, a repeated id or guard), and
+    :class:`ModelError` with every ``missing-name`` and graph diagnostic.
     """
     model = ProcessModel(name="")
     seen_ids: dict[str, int] = {}
     seen_guards: dict[str, int] = {}
-    pending: list[Diagnostic] = []
 
     def declare_node(node: Node, lineno: int) -> None:
         if node.id in seen_ids:
@@ -260,20 +222,14 @@ def parse_model(text: str) -> ProcessModel:
             for extra in args[2:]:
                 polarity = _kv(extra, "holds", lineno)
             model.guards.append(GuardDecl(name, description, polarity))
-        elif keyword == "initial":
+        elif keyword in ("initial", "final"):
             if len(args) != 1:
-                raise ParseError("initial takes exactly one id", lineno)
-            if model.initial:
-                raise ParseError("initial already declared", lineno)
-            declare_node(Node(args[0], KIND_INITIAL, args[0]), lineno)
-            model.initial = args[0]
-        elif keyword == "final":
-            if len(args) != 1:
-                raise ParseError("final takes exactly one id", lineno)
-            if model.final:
-                raise ParseError("final already declared", lineno)
-            declare_node(Node(args[0], KIND_FINAL, args[0]), lineno)
-            model.final = args[0]
+                raise ParseError(f"{keyword} takes exactly one id", lineno)
+            if getattr(model, keyword):
+                raise ParseError(f"{keyword} already declared", lineno)
+            kind = KIND_INITIAL if keyword == "initial" else KIND_FINAL
+            declare_node(Node(args[0], kind, args[0]), lineno)
+            setattr(model, keyword, args[0])
         elif keyword == "action":
             if len(args) < 2:
                 raise ParseError('action needs: action <id> "<label>" actor=<A|M|SA>', lineno)
@@ -320,10 +276,9 @@ def parse_model(text: str) -> ProcessModel:
         else:
             raise ParseError(f"unknown keyword {keyword!r}", lineno)
 
+    diagnostics = validate_model(model)
     if not model.name:
-        pending.append(Diagnostic("missing-name", "<model>", "no process declaration"))
-
-    diagnostics = pending + validate_model(model)
+        diagnostics.insert(0, Diagnostic("missing-name", "<model>", "no process declaration"))
     if diagnostics:
         raise ModelError(diagnostics)
     return model
@@ -339,12 +294,11 @@ def load_model(path) -> ProcessModel:
 # ---------------------------------------------------------------------------
 
 
-def _forward_reachable(edges_by_src: dict[str, list[Edge]], start: str) -> set[str]:
+def _reachable(edges_from: dict[str, list[Edge]], start: str) -> set[str]:
     seen = {start}
     todo = deque([start])
     while todo:
-        current = todo.popleft()
-        for edge in edges_by_src.get(current, ()):
+        for edge in edges_from.get(todo.popleft(), ()):
             if edge.dst not in seen:
                 seen.add(edge.dst)
                 todo.append(edge.dst)
@@ -352,113 +306,60 @@ def _forward_reachable(edges_by_src: dict[str, list[Edge]], start: str) -> set[s
 
 
 def validate_model(m: ProcessModel) -> list[Diagnostic]:
-    """Check every structural invariant; empty result means the model is valid."""
+    """Check the graph rules; an empty result means the model is valid.
+
+    The line rules belong to ``parse_model``: each node's kind and
+    annotations, actor modes, declared guards, and ids and guards declared
+    once.  A model built by hand is taken to keep them.
+    """
     diags: list[Diagnostic] = []
-    ids = [n.id for n in m.nodes]
-    id_set = set(ids)
-    if len(ids) != len(id_set):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        for d in dupes:
-            diags.append(Diagnostic("duplicate-id", d, "node id declared more than once"))
-
-    guard_names = [g.name for g in m.guards]
-    if len(guard_names) != len(set(guard_names)):
-        for g in sorted({n for n in guard_names if guard_names.count(n) > 1}):
-            diags.append(Diagnostic("duplicate-guard", g, "guard declared more than once"))
-
-    for n in m.nodes:
-        if n.kind == KIND_ACTION:
-            if n.actor_mode not in ACTOR_MODES:
-                diags.append(Diagnostic("bad-actor", n.id, "action without valid actor mode"))
-            if n.guard is not None:
-                diags.append(Diagnostic("guard-on-action", n.id, "guard present on an action"))
-        elif n.kind == KIND_DECISION:
-            if n.guard is None:
-                diags.append(Diagnostic("missing-guard", n.id, "decision without a guard"))
-            elif n.guard not in guard_names:
-                diags.append(
-                    Diagnostic("undeclared-guard", n.id, f"undeclared guard {n.guard!r}")
-                )
-            if n.actor_mode is not None:
-                diags.append(Diagnostic("actor-on-decision", n.id, "actorMode on a decision"))
-        elif n.kind in (KIND_INITIAL, KIND_FINAL):
-            if n.actor_mode is not None or n.guard is not None:
-                diags.append(Diagnostic("bad-annotation", n.id, "annotation on initial/final"))
-        else:
-            diags.append(Diagnostic("bad-kind", n.id, f"unknown node kind {n.kind!r}"))
-
+    id_set = {n.id for n in m.nodes}
     if not m.initial or m.initial not in id_set:
         diags.append(Diagnostic("missing-initial", m.initial or "<none>", "no initial node"))
     if not m.final or m.final not in id_set:
         diags.append(Diagnostic("missing-final", m.final or "<none>", "no final node"))
 
     edges_by_src: dict[str, list[Edge]] = {}
-    incoming: dict[str, int] = {i: 0 for i in id_set}
+    reversed_by_dst: dict[str, list[Edge]] = {}
     for e in m.edges:
         label = f"{e.src}->{e.dst}"
         if e.src not in id_set:
             diags.append(Diagnostic("dangling-edge", label, f"unknown source {e.src!r}"))
-            continue
-        if e.dst not in id_set:
+        elif e.dst not in id_set:
             diags.append(Diagnostic("dangling-edge", label, f"unknown target {e.dst!r}"))
-            continue
-        edges_by_src.setdefault(e.src, []).append(e)
-        incoming[e.dst] += 1
+        else:
+            edges_by_src.setdefault(e.src, []).append(e)
+            reversed_by_dst.setdefault(e.dst, []).append(Edge(e.dst, e.src))
 
-    if m.initial in id_set and incoming.get(m.initial, 0) > 0:
+    if m.initial in reversed_by_dst:
         diags.append(Diagnostic("initial-incoming", m.initial, "initial node has incoming edges"))
 
     for n in m.nodes:
         out = edges_by_src.get(n.id, [])
-        if n.kind == KIND_ACTION:
-            if len(out) != 1:
-                diags.append(
-                    Diagnostic("action-fan-out", n.id, f"action has {len(out)} outgoing edges, needs 1")
-                )
-            for e in out:
-                if e.guard_value is not None:
-                    diags.append(
-                        Diagnostic("polarity-on-action", f"{e.src}->{e.dst}", "when= on a non-decision edge")
-                    )
+        if n.kind in (KIND_ACTION, KIND_INITIAL):  # one plain outgoing edge
+            if len(out) != 1 and n.kind == KIND_ACTION:
+                diags.append(Diagnostic("action-fan-out", n.id,
+                                        f"action has {len(out)} outgoing edges, needs 1"))
+            elif len(out) != 1:
+                diags.append(Diagnostic("initial-fan-out", n.id,
+                                        "initial needs exactly 1 outgoing edge"))
+            diags += [Diagnostic("polarity-on-action", f"{e.src}->{e.dst}",
+                                 "when= on a non-decision edge")
+                      for e in out if e.guard_value is not None]
         elif n.kind == KIND_DECISION:
-            polarities = sorted(
-                (e.guard_value for e in out), key=lambda v: 2 if v is None else int(v)
-            )
-            if len(out) != 2 or polarities != [False, True]:
-                diags.append(
-                    Diagnostic(
-                        "decision-fan-out",
-                        n.id,
-                        "decision needs exactly one true edge and one false edge",
-                    )
-                )
-        elif n.kind == KIND_INITIAL:
-            if len(out) != 1:
-                diags.append(Diagnostic("initial-fan-out", n.id, "initial needs exactly 1 outgoing edge"))
-            for e in out:
-                if e.guard_value is not None:
-                    diags.append(
-                        Diagnostic("polarity-on-action", f"{e.src}->{e.dst}", "when= on a non-decision edge")
-                    )
-        elif n.kind == KIND_FINAL:
-            if out:
-                diags.append(Diagnostic("final-fan-out", n.id, "final node has outgoing edges"))
+            if len(out) != 2 or {e.guard_value for e in out} != {False, True}:
+                diags.append(Diagnostic("decision-fan-out", n.id,
+                                        "decision needs exactly one true edge and one false edge"))
+        elif n.kind == KIND_FINAL and out:
+            diags.append(Diagnostic("final-fan-out", n.id, "final node has outgoing edges"))
 
-    if m.initial in id_set:
-        reachable = _forward_reachable(edges_by_src, m.initial)
-        for n in m.nodes:
-            if n.id not in reachable:
-                diags.append(Diagnostic("unreachable-node", n.id, "not reachable from initial"))
-
-    if m.final in id_set:
-        edges_by_dst: dict[str, list[Edge]] = {}
-        for e in m.edges:
-            if e.src in id_set and e.dst in id_set:
-                edges_by_dst.setdefault(e.dst, []).append(Edge(e.dst, e.src, None))
-        co_reachable = _forward_reachable(edges_by_dst, m.final)
-        for n in m.nodes:
-            if n.id not in co_reachable:
-                diags.append(Diagnostic("dead-end", n.id, "final not reachable from this node"))
+    for end, edges, code, message in (
+        (m.initial, edges_by_src, "unreachable-node", "not reachable from initial"),
+        (m.final, reversed_by_dst, "dead-end", "final not reachable from this node"),
+    ):
+        if end in id_set:
+            reached = _reachable(edges, end)
+            diags += [Diagnostic(code, n.id, message) for n in m.nodes if n.id not in reached]
 
     return diags
 

@@ -254,8 +254,12 @@ class TestMalformedInputs:
          "config ledger is missing 'resume'"),
         ("campaign", lambda d: d["ledger"].update(resume=[]),
          "config ledger 'resume' must name at least one source"),
+        ("simulate", lambda d: d["ledger"].update(resume=["Radiographer", "Radiographer",
+                                                          "Patient"]),
+         "config ledger 'resume' names 'Radiographer' more than once"),
     ], ids=["text-window", "no-views", "unknown-source", "misspelt-key", "foreign-version",
-            "misspelt-ledger-action", "missing-ledger-action", "empty-ledger-action"])
+            "misspelt-ledger-action", "missing-ledger-action", "empty-ledger-action",
+            "repeated-ledger-source"])
     def test_malformed_config(self, tmp_path, capsys, command, mutate, reason):
         bad = tmp_path / "config.json"
         bad.write_text(json.dumps(_mutated(CONFIG, mutate)))

@@ -25,7 +25,15 @@ from hypothesis import strategies as st
 
 from hazgate.datafiles import data_path
 from hazgate.executive import EVENT_KINDS, Event, ExecConfig
-from hazgate.model import ACTOR_MODES, NODE_KINDS, load_model, parse_model, validate_model
+from hazgate.model import (
+    ACTOR_MODES,
+    NODE_KINDS,
+    ModelError,
+    ParseError,
+    load_model,
+    parse_model,
+    validate_model,
+)
 from hazgate.reporting import build_shard_bundle, build_stpa_bundle
 from hazgate.scenarios import MUTATIONS, TRANSFORMS, Scenario
 from hazgate.session import SOURCES, log_jsonl
@@ -292,6 +300,52 @@ def _mutated_proc(draw):
     return "\n".join(lines) + "\n"
 
 
+# lines that break one rule each, given the shipped model: a line rule, which
+# the parser reports with its line number, or a graph rule
+_BAD_PROC_LINES = (
+    "process", "process other", "process a b", "flow x", 'action q "unterminated',
+    "initial", "initial a b", "initial start", "initial sys_init", "initial start actor=A",
+    "final", "final end", "final release_patient", "final end guard=patientOK",
+    'guard patientOK "again"', "guard", 'guard newGuard "new" holds=yes', 'guard g "g" bad=x',
+    'action sys_init "Again" actor=A', 'action x "X" actor=Q', 'action x "X"', "action x",
+    'action x "X" actor=A', 'action x "X" actor=A guard=patientOK',
+    'decision d "D?"', 'decision d "D?" guard=undeclared', 'decision d "D?" guard=patientOK',
+    'decision patient_ok "Again?" guard=patientOK', 'decision d "D?" guard=patientOK actor=A',
+    "edge start -> end", "edge start -> sys_init when=false", "edge x -> sys_init",
+    "edge sys_init -> x", "edge sys_init -> end when=true", "edge end -> start",
+    "edge patient_ok -> end when=true", "edge patient_ok -> end", "edge x <- y",
+    "edge retake_needed -> end when=maybe", "edge capture_xray -> capture_xray",
+)
+# the diagnostics a parsed model can still raise: the parser raises a
+# ParseError for every other rule before it validates the graph
+_GRAPH_CODES = {
+    "missing-name", "missing-initial", "missing-final", "dangling-edge", "initial-incoming",
+    "action-fan-out", "decision-fan-out", "initial-fan-out", "final-fan-out",
+    "polarity-on-action", "unreachable-node", "dead-end",
+}
+
+
+@st.composite
+def _reordered_proc(draw):
+    """The shipped model's text with one to four of its lines dropped,
+    duplicated or swapped, or a bad line inserted."""
+    lines = PROC.splitlines()
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        i = draw(st.integers(min_value=0, max_value=max(len(lines) - 1, 0)))
+        edit = draw(st.sampled_from(("drop", "duplicate", "swap", "insert")) if lines
+                    else st.just("insert"))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        elif edit == "swap":
+            j = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            lines.insert(i, draw(st.sampled_from(_BAD_PROC_LINES)))
+    return "\n".join(lines) + "\n"
+
+
 # words the catalog, requirements and trace-link loaders give meaning to
 _CATALOG_WORDS = (
     *GUIDEWORDS, *HAZARD_LEVELS, *ROLES, *UCA_CATEGORIES, *CATEGORIES, *METHODOLOGIES,
@@ -423,6 +477,20 @@ class TestModelAndCatalogFuzz:
             _shard_report(catalog, model)
         for scenario in SCENARIOS:  # simulate
             _runs(Scenario.from_json_dict(scenario), model=model)
+
+    @settings(FUZZ, max_examples=300)
+    @given(_reordered_proc())
+    def test_parsed_model_has_only_graph_diagnostics(self, text):
+        """A model that parses is valid or breaks only graph rules, so the
+        validator needs no check of its own for a line rule."""
+        try:
+            model = parse_model(text)
+        except ParseError:
+            return
+        except ModelError as exc:
+            assert {d.code for d in exc.diagnostics} <= _GRAPH_CODES
+            return
+        assert validate_model(model) == []
 
     @pytest.mark.parametrize("name", ("shard_catalog.csv", "uca_catalog.csv", "cue_catalog.csv"))
     @settings(FUZZ, max_examples=25)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import deque
 
@@ -85,6 +86,17 @@ class TestCanonicalModel:
         assert data["schema_version"].startswith("process-model/")
         assert {n["id"] for n in data["nodes"]} == {n.id for n in mammobot.nodes}
         assert ProcessModel.from_json_dict(data) == mammobot
+
+    def test_output_bytes_pinned(self, mammobot):
+        """The bytes ``validate --json`` writes, key order included, and the
+        canonical DSL text."""
+        def sha256(text):
+            return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+        assert sha256(mammobot.to_json()) == (
+            "d3279d81c481ccd525c4b6410e1b51d0ccfbb74c152ea3299df05fc8b4b56c0c")
+        assert sha256(serialize_model(mammobot)) == (
+            "1845013e2c25b487d80a8a2ff5e8deedb64ff79528167df30534d09482c3b3ae")
 
 
 class TestParsing:
