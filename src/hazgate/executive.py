@@ -45,8 +45,11 @@ the trace monitors are evaluated against.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .jsoncheck import (
     json_field, json_int, json_keys, json_names, json_object, json_text, json_version,
@@ -110,8 +113,15 @@ class TimestampRegression(ValueError):
 CONFIG_SCHEMA = "exec-config/1"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExecConfig:
+    """The executive's settings, an immutable value: ``required_views`` is a
+    tuple and ``ledger_requirements`` a read-only mapping of action to a
+    tuple of sources, whatever the constructor was given.  So an executive
+    built from a config stays exact for as long as the config lives, and
+    ``simulate.run_events`` can reuse it; derive a variant with
+    ``dataclasses.replace``."""
+
     stop_latency_budget_ms: int = 100
     stabilization_window_ms: int = 2000
     confirmation_staleness_ms: int = 10_000
@@ -119,22 +129,25 @@ class ExecConfig:
     max_retakes_per_view: int = 3
     step_cap: int = 10_000
     required_views: tuple[str, ...] = ("CC", "MLO-L", "MLO-R")
-    ledger_requirements: dict = field(default_factory=lambda: {
+    ledger_requirements: Mapping[str, tuple[str, ...]] = field(default_factory=lambda: {
         "motionStart": ("Radiographer",),
         "exposure": ("Radiographer", "Patient"),
         "resume": ("Radiographer", "Patient"),
         "release": ("Radiographer",),
     })
 
+    def __post_init__(self):
+        object.__setattr__(self, "required_views", tuple(self.required_views))
+        object.__setattr__(self, "ledger_requirements", MappingProxyType(
+            {action: tuple(sources) for action, sources in self.ledger_requirements.items()}))
+
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExecConfig":
         ints = [f.name for f in fields(cls) if f.type == "int"]  # annotations are strings here
         json_keys(data, "config", (*ints, "required_views", "ledger", "schema_version"))
         json_version(data, "config", CONFIG_SCHEMA)
-        views = json_names(data.get("required_views", cls.required_views),
-                           "config required_views")
-        if not views:
-            raise ValueError("config required_views must name at least one view")
+        views = _names_once(data.get("required_views", cls.required_views),
+                            "config required_views", "view")
         # the ledger names exactly the default's actions, so a misspelt or
         # missing one cannot drop a confirmation the gates would ask for
         actions = cls().ledger_requirements
@@ -143,7 +156,10 @@ class ExecConfig:
             **{name: json_int(data.get(name, getattr(cls, name)), f"config {name}")
                for name in ints},
             required_views=views,
-            ledger_requirements={action: _ledger_sources(ledger, action) for action in actions},
+            ledger_requirements={
+                action: _names_once(json_field(ledger, action, "config ledger"),
+                                    f"config ledger {action!r}", "source", SOURCES)
+                for action in actions},
         )
 
     @classmethod
@@ -160,17 +176,16 @@ class ExecConfig:
         }
 
 
-def _ledger_sources(ledger: dict, action: str) -> tuple[str, ...]:
-    """The sources a config ledger requires for ``action``: at least one,
-    each named once."""
-    where = f"config ledger {action!r}"
-    sources = json_names(json_field(ledger, action, "config ledger"), where, SOURCES)
-    if not sources:
-        raise ValueError(f"{where} must name at least one source")
-    for i, source in enumerate(sources):
-        if source in sources[:i]:
-            raise ValueError(f"{where} names {source!r} more than once")
-    return sources
+def _names_once(value, where: str, what: str, known=None) -> tuple[str, ...]:
+    """A config list of at least one ``what``, each named once: a view or a
+    source listed twice would count twice (two exposures for one view)."""
+    names = json_names(value, where, known)
+    if not names:
+        raise ValueError(f"{where} must name at least one {what}")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"{where} names {name!r} more than once")
+    return names
 
 
 # payload fields the executive keys on or logs as text
@@ -310,16 +325,14 @@ def gate_failures(gate, state: ExecState, config: ExecConfig) -> list[str]:
     return [name for name, holds in gate if not holds(state, config)]
 
 
-@dataclass(frozen=True)
-class StepVerdict:
+class StepVerdict(NamedTuple):
     kind: str  # granted | refused | ignored | forced-abandon
     subject: str
     requirement: str | None = None
     detail: str = ""
 
 
-@dataclass
-class StepResult:
+class StepResult(NamedTuple):
     emitted: list[str]
     verdicts: list[StepVerdict]
 
@@ -769,7 +782,8 @@ class SafetyExecutive:
                              f"workflow closed ({state.session_status})")
 
     def _progress(self, state: ExecState, emitted: list[str], verdicts: list[StepVerdict]) -> None:
-        if self._frozen(state):
+        if self.enabled and (  # _frozen, inlined: every event ends here
+                state.interruption_active or state.fault_active or state.awaiting_resume):
             return
         steps = self._steps
         kind, _, slot, open_value, _, _, _ = steps[state.current_node]

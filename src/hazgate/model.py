@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import shlex
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 DSL_VERSION = "hazgate process v1"
 SCHEMA_VERSION = "process-model/1"
@@ -95,14 +95,23 @@ class Edge:
     guard_value: bool | None = None  # present iff src is a Decision
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProcessModel:
+    """A process model, an immutable value: its node, edge and guard lists
+    are tuples, whatever the constructor was given.  An executive built from
+    a model stays exact for as long as the model lives; derive a variant
+    with ``dataclasses.replace``."""
+
     name: str
-    nodes: list[Node] = field(default_factory=list)
-    edges: list[Edge] = field(default_factory=list)
-    guards: list[GuardDecl] = field(default_factory=list)
+    nodes: tuple[Node, ...] = ()
+    edges: tuple[Edge, ...] = ()
+    guards: tuple[GuardDecl, ...] = ()
     initial: str = ""
     final: str = ""
+
+    def __post_init__(self):
+        for name in ("nodes", "edges", "guards"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
     def node_by_label(self, label: str) -> Node:
         key = normalize_label(label)
@@ -183,7 +192,11 @@ def parse_model(text: str) -> ProcessModel:
     (syntax, a bad actor, an undeclared guard, a repeated id or guard), and
     :class:`ModelError` with every ``missing-name`` and graph diagnostic.
     """
-    model = ProcessModel(name="")
+    name = ""
+    ends = {"initial": "", "final": ""}
+    nodes: list[Node] = []
+    edges: list[Edge] = []
+    guards: list[GuardDecl] = []
     seen_ids: dict[str, int] = {}
     seen_guards: dict[str, int] = {}
 
@@ -194,7 +207,7 @@ def parse_model(text: str) -> ProcessModel:
                 lineno,
             )
         seen_ids[node.id] = lineno
-        model.nodes.append(node)
+        nodes.append(node)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -206,30 +219,30 @@ def parse_model(text: str) -> ProcessModel:
         if keyword == "process":
             if len(args) != 1:
                 raise ParseError("process takes exactly one name", lineno)
-            model.name = args[0]
+            name = args[0]
         elif keyword == "guard":
             if not args:
                 raise ParseError("guard needs a name", lineno)
-            name = args[0]
-            if name in seen_guards:
+            guard = args[0]
+            if guard in seen_guards:
                 raise ParseError(
-                    f"duplicate guard {name!r} (first declared on line {seen_guards[name]})",
+                    f"duplicate guard {guard!r} (first declared on line {seen_guards[guard]})",
                     lineno,
                 )
-            seen_guards[name] = lineno
+            seen_guards[guard] = lineno
             description = args[1] if len(args) > 1 else ""
             polarity = ""
             for extra in args[2:]:
                 polarity = _kv(extra, "holds", lineno)
-            model.guards.append(GuardDecl(name, description, polarity))
+            guards.append(GuardDecl(guard, description, polarity))
         elif keyword in ("initial", "final"):
             if len(args) != 1:
                 raise ParseError(f"{keyword} takes exactly one id", lineno)
-            if getattr(model, keyword):
+            if ends[keyword]:
                 raise ParseError(f"{keyword} already declared", lineno)
             kind = KIND_INITIAL if keyword == "initial" else KIND_FINAL
             declare_node(Node(args[0], kind, args[0]), lineno)
-            setattr(model, keyword, args[0])
+            ends[keyword] = args[0]
         elif keyword == "action":
             if len(args) < 2:
                 raise ParseError('action needs: action <id> "<label>" actor=<A|M|SA>', lineno)
@@ -272,12 +285,13 @@ def parse_model(text: str) -> ProcessModel:
                 if value not in ("true", "false"):
                     raise ParseError("when= must be true or false", lineno)
                 guard_value = value == "true"
-            model.edges.append(Edge(src, dst, guard_value))
+            edges.append(Edge(src, dst, guard_value))
         else:
             raise ParseError(f"unknown keyword {keyword!r}", lineno)
 
+    model = ProcessModel(name, nodes, edges, guards, **ends)
     diagnostics = validate_model(model)
-    if not model.name:
+    if not name:
         diagnostics.insert(0, Diagnostic("missing-name", "<model>", "no process declaration"))
     if diagnostics:
         raise ModelError(diagnostics)

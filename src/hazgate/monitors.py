@@ -30,7 +30,7 @@ on the grants, and grants read from the marks would compare a rule with itself.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .executive import LOGGABLE_EVENT_FAMILY, ExecConfig
 from .session import (
@@ -51,8 +51,7 @@ VIOLATED = "Violated"
 NOT_APPLICABLE = "NotApplicable"
 
 
-@dataclass(frozen=True)
-class MonitorVerdict:
+class MonitorVerdict(NamedTuple):
     requirement: str
     status: str
     witness: int | None = None  # trace step index (or log index for log checks)
@@ -273,7 +272,7 @@ def monitor_r8(trace, config: ExecConfig, facts: TraceFacts | None = None) -> Mo
     times = [e.t for e in trace.log]
     if times != sorted(times):
         violations.append((0, "log timestamps decrease"))
-    return _verdict("R8", violations, list(trace.steps))
+    return _verdict("R8", violations, trace.steps)
 
 
 def monitor_r14(trace, config: ExecConfig, facts: TraceFacts | None = None) -> MonitorVerdict:

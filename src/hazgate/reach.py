@@ -31,10 +31,11 @@ the resulting abstract state and the exposure-interlock monitor verdict
 against the search's own classification.  ``_replay`` is a one-statement
 delegate to that loop; it is kept, with its arguments, because the
 benchmark wraps it and reads its events argument.
-One replay executive, built apart from the search's, serves the whole
-cross-check.  Each witness is replayed from a fresh ``init_state()`` of that
-executive, sharing no prefix and no search state, precisely so that a
-faulty branch copy shows up as a disagreement.
+One replay executive, built apart from the search's and from the ones
+``simulate.run_events`` keeps, serves the whole cross-check.  Each witness
+is replayed from a fresh ``init_state()`` of that executive, sharing no
+prefix and no search state, precisely so that a faulty branch copy shows
+up as a disagreement.
 """
 
 from __future__ import annotations

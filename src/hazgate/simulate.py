@@ -123,26 +123,50 @@ def play(executive: SafetyExecutive, events, close_out: bool = True) -> tuple[Tr
     """
     state = executive.init_state()
     trace = Trace(executive_enabled=executive.enabled)
+    steps = trace.steps
+    # bound once per call, never across calls: a caller may rebind either
+    # method on its class between runs, as the benchmark's tracer does
+    handle, snapshot = executive.handle_event, state.snapshot
     for event in events:
-        result = executive.handle_event(state, event)
-        trace.steps.append(TraceStep(event, state.snapshot(),
-                                     tuple(result.emitted), tuple(result.verdicts)))
+        emitted, verdicts = handle(state, event)
+        steps.append(TraceStep(event, snapshot(), tuple(emitted), tuple(verdicts)))
     if close_out:
-        closing = executive.close_out(state)
-        if closing.emitted or closing.verdicts:
-            trace.steps.append(TraceStep(None, state.snapshot(),
-                                         tuple(closing.emitted), tuple(closing.verdicts)))
+        emitted, verdicts = executive.close_out(state)
+        if emitted or verdicts:
+            steps.append(TraceStep(None, snapshot(), tuple(emitted), tuple(verdicts)))
     trace.log = list(state.log)
-    trace.final_snapshot = state.snapshot()
+    trace.final_snapshot = snapshot()
     trace.final_status = state.session_status
     trace.final_node = state.current_node
     return trace, state
 
 
+# the executives run_events reuses, keyed by the identity of (model, config,
+# mode).  Each holds its model and config, so their ids stay unique while it
+# is kept; both are immutable values and every session starts from
+# init_state(), so a kept executive serves a session as a fresh one would.
+_EXECUTIVES: dict[tuple[int, int, bool], SafetyExecutive] = {}
+_EXECUTIVES_KEPT = 8
+
+
+def _executive_for(model: ProcessModel, config: ExecConfig, enabled: bool) -> SafetyExecutive:
+    key = (id(model), id(config), enabled)
+    executive = _EXECUTIVES.get(key)
+    if executive is None:
+        if len(_EXECUTIVES) >= _EXECUTIVES_KEPT:
+            del _EXECUTIVES[next(iter(_EXECUTIVES))]  # the oldest
+        executive = _EXECUTIVES[key] = SafetyExecutive(model, config, enabled=enabled)
+    return executive
+
+
 def run_events(model: ProcessModel, config: ExecConfig, events, enabled: bool = True) -> Trace:
-    """Drive a raw event list through a fresh executive, close out, and
-    capture the trace."""
-    return play(SafetyExecutive(model, config, enabled=enabled), events)[0]
+    """Drive a raw event list through the executive for (``model``,
+    ``config``, ``enabled``), close out, and capture the trace.
+
+    One executive per such object triple serves every call; it holds no
+    session state.  A caller that sets ``transition_hook`` builds its own
+    with ``executive.init_executive``."""
+    return play(_executive_for(model, config, enabled), events)[0]
 
 
 def classify_outcome(trace: Trace, verdicts: list[MonitorVerdict]) -> tuple[str, tuple[str, ...]]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from hazgate.model import (
     KIND_ACTION,
@@ -67,10 +68,8 @@ def break_reachability(rng: random.Random, m: ProcessModel) -> ProcessModel:
     kind = rng.choice(("orphan", "trap"))
     if kind == "orphan":
         # reaches final but nothing reaches it
-        m.nodes.append(Node("orphan", KIND_ACTION, "Orphan", actor_mode="A"))
-        m.edges.append(Edge("orphan", "end"))
+        node, edge = Node("orphan", KIND_ACTION, "Orphan", actor_mode="A"), Edge("orphan", "end")
     else:
         # self-looping island: unreachable and a dead end
-        m.nodes.append(Node("trap", KIND_ACTION, "Trap", actor_mode="A"))
-        m.edges.append(Edge("trap", "trap"))
-    return m
+        node, edge = Node("trap", KIND_ACTION, "Trap", actor_mode="A"), Edge("trap", "trap")
+    return replace(m, nodes=m.nodes + (node,), edges=m.edges + (edge,))

@@ -242,6 +242,8 @@ class TestMalformedInputs:
          "stabilization_window_ms must be a non-negative integer"),
         ("campaign", lambda d: d.update(required_views=[]),
          "required_views must name at least one view"),
+        ("simulate", lambda d: d.update(required_views=["CC", "CC", "MLO-L"]),
+         "config required_views names 'CC' more than once"),
         ("campaign", lambda d: d["ledger"].update(exposure=["Robot", "Patient"]),
          "names unknown 'Robot'"),
         ("simulate", lambda d: d.update(stabilisation_window_ms=0),
@@ -257,9 +259,9 @@ class TestMalformedInputs:
         ("simulate", lambda d: d["ledger"].update(resume=["Radiographer", "Radiographer",
                                                           "Patient"]),
          "config ledger 'resume' names 'Radiographer' more than once"),
-    ], ids=["text-window", "no-views", "unknown-source", "misspelt-key", "foreign-version",
-            "misspelt-ledger-action", "missing-ledger-action", "empty-ledger-action",
-            "repeated-ledger-source"])
+    ], ids=["text-window", "no-views", "repeated-view", "unknown-source", "misspelt-key",
+            "foreign-version", "misspelt-ledger-action", "missing-ledger-action",
+            "empty-ledger-action", "repeated-ledger-source"])
     def test_malformed_config(self, tmp_path, capsys, command, mutate, reason):
         bad = tmp_path / "config.json"
         bad.write_text(json.dumps(_mutated(CONFIG, mutate)))

@@ -130,6 +130,12 @@ class TestConfigJson:
         assert config.to_json_dict() == shipped
         assert ExecConfig.from_json_dict(config.to_json_dict()) == config
 
+    def test_rejects_a_view_listed_twice(self, config):
+        """A repeated view would be acquired twice: three exposures for two views."""
+        data = {**config.to_json_dict(), "required_views": ["CC", "CC", "MLO-L"]}
+        with pytest.raises(ValueError, match="config required_views names 'CC' more than once"):
+            ExecConfig.from_json_dict(data)
+
 
 class TestConstruction:
     def test_tables_match_direct_recomputation(self, mammobot, config):

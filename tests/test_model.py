@@ -1,6 +1,7 @@
 import hashlib
 import random
 from collections import deque
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,9 @@ from gen import break_reachability, random_valid_model
 from hazgate.datafiles import data_path
 from hazgate.model import (
     KIND_ACTION,
+    Edge,
     ModelError,
+    Node,
     ParseError,
     ProcessModel,
     load_model,
@@ -141,8 +144,7 @@ class TestParsing:
 
 class TestValidation:
     def test_action_fan_out_diagnostic(self, mammobot):
-        broken = parse_model(serialize_model(mammobot))
-        broken.edges.append(type(broken.edges[0])("capture_xray", "end", None))
+        broken = replace(mammobot, edges=mammobot.edges + (Edge("capture_xray", "end"),))
         codes = {d.code for d in validate_model(broken)}
         assert "action-fan-out" in codes
 
@@ -157,14 +159,14 @@ class TestValidation:
 
     def test_unreachable_node_diagnostic(self):
         m = parse_model(MINIMAL)
-        m.nodes.append(type(m.nodes[0])("island", KIND_ACTION, "Island", actor_mode="A"))
-        m.edges.append(type(m.edges[0])("island", "end", None))
+        m = replace(m, nodes=m.nodes + (Node("island", KIND_ACTION, "Island", actor_mode="A"),),
+                    edges=m.edges + (Edge("island", "end"),))
         codes = {d.code for d in validate_model(m)}
         assert "unreachable-node" in codes
 
     def test_initial_with_incoming_edge(self):
         m = parse_model(MINIMAL)
-        m.edges.append(type(m.edges[0])("work", "start", None))
+        m = replace(m, edges=m.edges + (Edge("work", "start"),))
         codes = {d.code for d in validate_model(m)}
         assert "initial-incoming" in codes
         assert "action-fan-out" in codes

@@ -1,17 +1,21 @@
 import json
 import re
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hazgate import reach, simulate
 from hazgate.datafiles import data_path
-from hazgate.executive import EVENT_KINDS, Event, ExecConfig, StepVerdict
+from hazgate.executive import (
+    EVENT_KINDS, Event, ExecConfig, SafetyExecutive, StepVerdict, init_executive,
+)
 from hazgate.model import load_model
 from hazgate.scenarios import Scenario, nominal_timeline
 from hazgate.session import SOURCES, LogEntry, log_jsonl
 from hazgate.simulate import (
-    COMPACT_JSON, Trace, TraceStep, check_expectation, run_events, run_scenario,
+    COMPACT_JSON, Trace, TraceStep, check_expectation, play, run_events, run_scenario,
 )
 
 DESIGNATED = {
@@ -112,6 +116,63 @@ class TestTraceExport:
         assert trace.refusals
         assert trace.steps[-1].event is None  # the close-out step
         assert trace.to_jsonl() == _reference_trace_jsonl(trace)
+
+
+class TestExecutiveReuse:
+    """``run_events`` reuses one executive per (model, config, mode) object
+    triple; a reused executive must serve each session as a fresh one would.
+    Reuse across alternating modes is pinned by ``TestBehaviourPinned``."""
+
+    def test_interleaved_configs_match_fresh_executives(self, mammobot, config):
+        no_window = replace(config, stabilization_window_ms=0)
+        timelines = [Scenario.load(path).compiled_timeline()
+                     for path in sorted(data_path("scenarios").glob("*.json"))]
+        outputs = {}
+        for cfg in (config, no_window, config):
+            for enabled in (True, False):
+                for i, events in enumerate(timelines):
+                    reused = run_events(mammobot, cfg, events, enabled=enabled)
+                    fresh = play(SafetyExecutive(mammobot, cfg, enabled=enabled), events)[0]
+                    assert reused.to_jsonl() == fresh.to_jsonl()
+                    assert log_jsonl(reused.log) == log_jsonl(fresh.log)
+                    outputs.setdefault((i, enabled), set()).add(reused.to_jsonl())
+        # the two configs drive some session apart, so a kept executive
+        # serving the wrong config would show
+        assert any(len(texts) > 1 for texts in outputs.values())
+        assert simulate._executive_for(mammobot, config, True) is \
+            simulate._executive_for(mammobot, config, True)
+        assert simulate._executive_for(mammobot, no_window, True) is not \
+            simulate._executive_for(mammobot, config, True)
+
+    def test_config_and_model_are_frozen(self, mammobot, config):
+        for value, name in ((config, "stabilization_window_ms"), (config, "required_views"),
+                            (config, "ledger_requirements"), (mammobot, "nodes"),
+                            (mammobot, "initial")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, name, getattr(value, name))
+        with pytest.raises(TypeError):
+            config.ledger_requirements["exposure"] = ("Radiographer",)
+        built = ExecConfig(required_views=["CC"], ledger_requirements={"exposure": ["Patient"]})
+        assert built.required_views == ("CC",)
+        assert built.ledger_requirements["exposure"] == ("Patient",)
+        assert isinstance(replace(mammobot, nodes=list(mammobot.nodes)).nodes, tuple)
+
+    def test_other_executives_are_never_the_kept_ones(self, mammobot, config, monkeypatch):
+        replayed = []
+        replay = reach._replay
+
+        def recording(model, cfg, events, executive):
+            replayed.append(executive)
+            return replay(model, cfg, events, executive)
+
+        monkeypatch.setattr(reach, "_replay", recording)
+        run_events(mammobot, config, [])
+        result = reach.brute_force_reachability(mammobot, config, max_depth=3)
+        assert result.cross_checked == len(replayed) > 0
+        hooked = init_executive(mammobot, config)[0]
+        kept = simulate._EXECUTIVES.values()
+        assert not any(executive is k for executive in {*replayed, hooked} for k in kept)
+        assert hooked is not init_executive(mammobot, config)[0]
 
 
 # the record each --trace and --log line encodes, built as the exporters
