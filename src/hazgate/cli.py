@@ -238,16 +238,22 @@ def cmd_reach(args) -> int:
         for event in result.counterexample:
             print(f"  t={event.timestamp} {event.source} {event.kind} {event.payload}")
         print(f"  ({result.unsafe_detail})")
+    disagreements = result.cross_check_disagreements
     if result.cross_checked:
-        status = "agree" if not result.cross_check_disagreements else "DISAGREE"
-        print(f"cross-check: {result.cross_checked} sequences, {status}")
+        print(f"cross-check: {result.cross_checked} sequences, "
+              f"{'DISAGREE' if disagreements else 'agree'}")
+    shown = 5  # --json's report lists them all
+    for line in disagreements[:shown]:
+        print(f"  {line}")
+    if len(disagreements) > shown:
+        print(f"  (+{len(disagreements) - shown} more)")
     if args.json_out:
         import json
 
         with open(args.json_out, "w", encoding="utf-8") as fh:
             json.dump(result.to_json_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-    return 1 if result.unsafe_reachable or result.cross_check_disagreements else 0
+    return 1 if result.unsafe_reachable or disagreements else 0
 
 
 def cmd_check(args) -> int:

@@ -120,7 +120,9 @@ class ExecConfig:
     tuple of sources, whatever the constructor was given.  So an executive
     built from a config stays exact for as long as the config lives, and
     ``simulate.run_events`` can reuse it; derive a variant with
-    ``dataclasses.replace``."""
+    ``dataclasses.replace``.  However it was built, in Python, by ``replace``
+    or from JSON, a config names at least one view and, for each ledger
+    action, at least one known source, none of them twice."""
 
     stop_latency_budget_ms: int = 100
     stabilization_window_ms: int = 2000
@@ -137,17 +139,17 @@ class ExecConfig:
     })
 
     def __post_init__(self):
-        object.__setattr__(self, "required_views", tuple(self.required_views))
-        object.__setattr__(self, "ledger_requirements", MappingProxyType(
-            {action: tuple(sources) for action, sources in self.ledger_requirements.items()}))
+        object.__setattr__(self, "required_views", _names_once(
+            self.required_views, "config required_views", "view"))
+        object.__setattr__(self, "ledger_requirements", MappingProxyType({
+            action: _names_once(sources, f"config ledger {action!r}", "source", SOURCES)
+            for action, sources in self.ledger_requirements.items()}))
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExecConfig":
         ints = [f.name for f in fields(cls) if f.type == "int"]  # annotations are strings here
         json_keys(data, "config", (*ints, "required_views", "ledger", "schema_version"))
         json_version(data, "config", CONFIG_SCHEMA)
-        views = _names_once(data.get("required_views", cls.required_views),
-                            "config required_views", "view")
         # the ledger names exactly the default's actions, so a misspelt or
         # missing one cannot drop a confirmation the gates would ask for
         actions = cls().ledger_requirements
@@ -155,11 +157,9 @@ class ExecConfig:
         return cls(
             **{name: json_int(data.get(name, getattr(cls, name)), f"config {name}")
                for name in ints},
-            required_views=views,
+            required_views=data.get("required_views", cls.required_views),
             ledger_requirements={
-                action: _names_once(json_field(ledger, action, "config ledger"),
-                                    f"config ledger {action!r}", "source", SOURCES)
-                for action in actions},
+                action: json_field(ledger, action, "config ledger") for action in actions},
         )
 
     @classmethod

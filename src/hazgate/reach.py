@@ -18,6 +18,15 @@ search builds one ``Event`` per parent clock and stimulus and applies it at
 every state with that clock; ``handle_event`` never writes to its event, so
 the transitions and witness paths that share one see the same event.
 
+The search keeps one witness record per discovered state, not its path:
+(parent's record index or -1, the event from the parent, key, unsafe).  A
+state is held only until its successors are generated, and the last
+layer's states are keyed and recorded but never held, since nothing
+expands them.  So the search's memory grows with the number of states, not
+with states times depth.  ``_witness_path`` rebuilds a path by walking
+parents, only where one is read: the counterexample and each cross-checked
+witness.
+
 The unsafe predicate is evaluated independently of the executive's gates:
 a transition fires an exposure when its log holds an entry marked
 ``exposure`` (``session.LOG_MARKS``), never read from the log's prose,
@@ -32,10 +41,11 @@ against the search's own classification.  ``_replay`` is a one-statement
 delegate to that loop; it is kept, with its arguments, because the
 benchmark wraps it and reads its events argument.
 One replay executive, built apart from the search's and from the ones
-``simulate.run_events`` keeps, serves the whole cross-check.  Each witness
-is replayed from a fresh ``init_state()`` of that executive, sharing no
-prefix and no search state, precisely so that a faulty branch copy shows
-up as a disagreement.
+``simulate.run_events`` keeps, serves the whole cross-check.  Each witness's
+rebuilt path is one full event list, replayed from a fresh ``init_state()``
+of that executive, sharing no prefix and no search state, precisely so that
+a faulty branch copy shows up as a disagreement; rebuilding paths from
+records leaves that independence as it was.
 """
 
 from __future__ import annotations
@@ -178,9 +188,12 @@ def brute_force_reachability(
 
     initial = executive.init_state()
     visited = {abstract_key(initial, reach_config)}
-    # frontier entries: (state, witness path, any unsafe grant along the path)
-    frontier: list[tuple[ExecState, list[Event], bool]] = [(initial, [], False)]
-    witnesses: list[tuple[list[Event], tuple, bool]] = []
+    # frontier entries: (state, index of its witness record or -1 for the
+    # initial state, any unsafe grant along its path)
+    frontier: list[tuple[ExecState, int, bool] | None] = [(initial, -1, False)]
+    # one record per discovered state, in discovery order:
+    # (parent's record index or -1, event from the parent, key, unsafe)
+    witnesses: list[tuple[int, Event, tuple | None, bool]] = []
     counterexample: list[Event] | None = None
     unsafe_detail = ""
     transitions = 0
@@ -191,8 +204,11 @@ def brute_force_reachability(
     depth = 0
     while frontier and depth < max_depth and not stopped:
         depth += 1
-        next_frontier: list[tuple[ExecState, list[Event], bool]] = []
-        for state, path, path_unsafe in frontier:
+        expand_next = depth < max_depth  # the last layer's states are never expanded
+        next_frontier: list[tuple[ExecState, int, bool] | None] = []
+        for i in range(len(frontier)):
+            state, parent, path_unsafe = frontier[i]
+            frontier[i] = None  # held by `state` only while it is expanded
             events = events_at.get(state.clock)
             if events is None:
                 events = events_at[state.clock] = [
@@ -218,13 +234,13 @@ def brute_force_reachability(
                         break
                 unsafe = bool(pre_failed)
                 if unsafe and counterexample is None:
-                    counterexample = path + [event]
+                    counterexample = _witness_path(witnesses, parent) + [event]
                     unsafe_detail = (
                         f"exposure fired at t={event.timestamp} with failed conditions: "
                         + ",".join(pre_failed)
                     )
                     if stop_at_first:
-                        witnesses.append((counterexample, None, True))
+                        witnesses.append((parent, event, None, True))
                         stopped = True
                         break
 
@@ -235,12 +251,13 @@ def brute_force_reachability(
                     stopped = True
                     break
                 visited.add(key)
-                new_path = path + [event]
-                next_frontier.append((branch, new_path, path_unsafe or unsafe))
-                witnesses.append((new_path, key, path_unsafe or unsafe))
+                witnesses.append((parent, event, key, path_unsafe or unsafe))
+                if expand_next:
+                    next_frontier.append((branch, len(witnesses) - 1, path_unsafe or unsafe))
             if stopped:
                 break
         frontier = next_frontier
+    frontier = next_frontier = None  # what a stopped search left unexpanded
 
     result = ReachabilityResult(
         unsafe_reachable=counterexample is not None, counterexample=counterexample,
@@ -253,13 +270,24 @@ def brute_force_reachability(
     return result
 
 
+def _witness_path(witnesses, index: int) -> list[Event]:
+    """The events from the initial state to witness ``index`` (-1: none)."""
+    path = []
+    while index >= 0:
+        index, event, _, _ = witnesses[index]
+        path.append(event)
+    path.reverse()
+    return path
+
+
 def _cross_check(model, reach_config, enabled, witnesses, result) -> None:
-    """Replay each witness path through ``simulate.play`` and compare.
+    """Replay each witness's path through ``simulate.play`` and compare.
 
     One replay executive, not the search's, serves every witness; each
     replay starts from that executive's fresh initial state."""
     executive = SafetyExecutive(model, reach_config, enabled=enabled)
-    for path, key, unsafe in witnesses:
+    for index, (_, _, key, unsafe) in enumerate(witnesses):
+        path = _witness_path(witnesses, index)
         trace, final_state = _replay(model, reach_config, path, executive)
         result.cross_checked += 1
         if key is not None:

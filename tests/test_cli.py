@@ -5,6 +5,7 @@ import pytest
 
 from hazgate.cli import main
 from hazgate.datafiles import data_path
+from hazgate.session import ExecState
 from hazgate.shard import load_shard_catalog
 from hazgate.stpa import load_cue_catalog, load_uca_catalog
 
@@ -135,7 +136,32 @@ class TestCampaignCommand:
 class TestReachCommand:
     def test_protected_shallow_exits_zero(self, capsys):
         assert main(["reach", MODEL, CONFIG, "--depth", "4"]) == 0
-        assert "unsafe exposure reachable: False" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "unsafe exposure reachable: False" in out
+        assert out.endswith(" sequences, agree\n")
+
+    def test_disagreements_are_printed(self, tmp_path, capsys, monkeypatch):
+        # a branch that shares its parent's ledger, as in
+        # test_reach.py::test_cross_check_catches_a_branch_sharing_its_ledger
+        branch = ExecState.branch
+
+        def sharing_branch(state):
+            dup = branch(state)
+            dup.ledger = state.ledger
+            return dup
+
+        monkeypatch.setattr(ExecState, "branch", sharing_branch)
+        report = tmp_path / "reach.json"
+        assert main(["reach", MODEL, CONFIG, "--depth", "8", "--json", str(report)]) == 1
+        body = json.loads(report.read_text())
+        disagreements = body["cross_check_disagreements"]
+        assert len(disagreements) == 585
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-7:] == [
+            f"cross-check: {body['cross_checked']} sequences, DISAGREE",
+            *[f"  {line}" for line in disagreements[:5]],
+            "  (+580 more)",
+        ]
 
     def test_unprotected_exits_one_with_counterexample(self, capsys):
         assert main(["reach", MODEL, CONFIG, "--depth", "4", "--no-executive",

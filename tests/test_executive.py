@@ -3,7 +3,9 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -135,6 +137,25 @@ class TestConfigJson:
         data = {**config.to_json_dict(), "required_views": ["CC", "CC", "MLO-L"]}
         with pytest.raises(ValueError, match="config required_views names 'CC' more than once"):
             ExecConfig.from_json_dict(data)
+
+
+class TestConfigChecks:
+    """A config built in Python passes the checks the JSON loader applies."""
+
+    @pytest.mark.parametrize("changes,reason", [
+        ({"required_views": ("CC", "CC", "MLO-L")},
+         "config required_views names 'CC' more than once"),
+        ({"required_views": ()}, "config required_views must name at least one view"),
+        ({"ledger_requirements": {"motionStart": ()}},
+         "config ledger 'motionStart' must name at least one source"),
+        ({"ledger_requirements": {"exposure": ("Patient", "Radiographer", "Patient")}},
+         "config ledger 'exposure' names 'Patient' more than once"),
+    ], ids=["repeated-view", "no-views", "empty-ledger-action", "repeated-ledger-source"])
+    def test_rejects(self, config, changes, reason):
+        with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+            ExecConfig(**changes)
+        with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+            replace(config, **changes)
 
 
 class TestConstruction:

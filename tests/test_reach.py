@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import json
 from dataclasses import replace
 
 import pytest
 
+from hazgate import reach
 from hazgate.datafiles import data_path
 from hazgate.executive import ExecConfig, SafetyExecutive
 from hazgate.model import load_model
@@ -197,6 +199,44 @@ class TestProtected:
         )
         assert len(result.cross_check_disagreements) == 585
         assert all(d.startswith("state mismatch") for d in result.cross_check_disagreements)
+
+    def test_replays_every_witness_path_in_order(self, mammobot, config, monkeypatch):
+        # each cross-checked witness is one full event list, handed to _replay
+        # in witness order; it extends the list of the witness it was found from
+        replay = reach._replay
+        replayed = []
+
+        def recording_replay(model, reach_config, events, executive):
+            replayed.append(tuple(
+                (e.timestamp, e.source, e.kind, tuple(sorted(e.payload.items())))
+                for e in events))
+            return replay(model, reach_config, events, executive)
+
+        monkeypatch.setattr(reach, "_replay", recording_replay)
+        result = brute_force_reachability(mammobot, config, max_depth=8)
+        assert len(replayed) == result.cross_checked == 4382
+        seen = {()}
+        for events in replayed:
+            assert events[:-1] in seen
+            seen.add(events)
+        assert hashlib.sha256(json.dumps(replayed).encode("utf-8")).hexdigest() == (
+            "cd169de38cc2beea7fea045924cfcdd531b60687ed34168defb6992ca98b564b")
+
+    def test_cross_check_starts_with_the_search_states_released(self, mammobot, config,
+                                                                 monkeypatch):
+        # the search keeps one record per state, not the states: only the
+        # initial state and the last parent and branch, held by locals, live on
+        cross_check = reach._cross_check
+        alive = []
+
+        def counting_cross_check(*args):
+            gc.collect()
+            alive.append(sum(isinstance(o, ExecState) for o in gc.get_objects()))
+            return cross_check(*args)
+
+        monkeypatch.setattr(reach, "_cross_check", counting_cross_check)
+        brute_force_reachability(mammobot, config, max_depth=8)
+        assert alive[0] <= 3, alive
 
     @pytest.mark.xfail(strict=True, reason=(
         "known defect: the key keeps whether the stabilization window has "
