@@ -19,12 +19,14 @@ from dataclasses import dataclass
 from .campaign import SOUNDNESS_REQUIREMENTS, run_random_campaign
 from .datafiles import data_path
 from .executive import (
+    CONFIRM_ACTIONS,
     EVENT_KINDS,
     EXPOSURE_CONDITIONS,
     EXPOSURE_GATE,
     Event,
     ExecConfig,
     LOGGABLE_EVENT_FAMILY,
+    NOMINAL_EVENTS,
     gate_failures,
     init_executive,
 )
@@ -32,6 +34,7 @@ from .model import load_model, validate_model
 from .monitors import SATISFIED, VIOLATED, evaluate_monitors, monitor_r8
 from .reach import brute_force_reachability
 from .scenarios import Scenario, nominal_timeline
+from .session import SOURCES
 from .shard import (
     GUIDEWORD_DEFINITIONS,
     GUIDEWORDS,
@@ -319,29 +322,21 @@ def criterion_9():
 
 
 def _random_timeline(rng: random.Random) -> list:
-    kinds = [k for k in EVENT_KINDS]
-    actions = ["selfTest", "stageIdentified", "planReady", "motionStart", "exposure",
-               "adjustments", "release", "resume", "decide", "advance", "bogus"]
-    sources = ("Radiographer", "Patient", "Sensor", "System")
+    actions = [*CONFIRM_ACTIONS, "decide", "advance", "bogus"]
+    weights = {"needed": 0.5, "retake": 0.3}  # chance a drawn field is true; else 0.8
     t = 0
     events = []
     for _ in range(rng.randint(5, 40)):
         t += rng.randint(0, 3000)
-        kind = rng.choice(kinds)
+        kind = rng.choice(EVENT_KINDS)
         payload = {}
+        fields = NOMINAL_EVENTS[kind][1]
         if kind == "commandConfirm":
-            payload = {"action": rng.choice(actions)}
-            if payload["action"] == "planReady":
-                payload["valid"] = rng.random() < 0.8
-            if payload["action"] == "selfTest":
-                payload["ready"] = rng.random() < 0.8
-            if payload["action"] == "adjustments":
-                payload["needed"] = rng.random() < 0.5
-        elif kind == "postureUpdate":
-            payload = {"valid": rng.random() < 0.8}
-        elif kind == "exposureComplete":
-            payload = {"retake": rng.random() < 0.3}
-        events.append(Event(t, rng.choice(sources), kind, payload))
+            payload["action"] = action = rng.choice(actions)
+            fields = CONFIRM_ACTIONS.get(action, fields)
+        for name in fields:
+            payload[name] = rng.random() < weights.get(name, 0.8)
+        events.append(Event(t, rng.choice(SOURCES), kind, payload))
     return events
 
 

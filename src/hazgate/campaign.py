@@ -3,9 +3,12 @@
 Each campaign scenario is an independently seeded, jittered nominal session
 with one or two injections sampled from the SHARD and UCA catalogs (the
 deviation guideword or UCA category picks the transform; the finding's node
-picks which events are targeted).  Scenarios run sequentially through fresh
-executive instances; reports aggregate outcomes and per-requirement verdict
-counts and are byte-reproducible from (model, config, n, seed).
+picks which events are targeted).  CorruptValue corrupts the boolean
+payload field the executive declares for the target's kind or action
+(``executive.NOMINAL_EVENTS``, ``CONFIRM_ACTIONS``), or a stage's view.
+Scenarios run sequentially, each from a fresh initial state; reports
+aggregate outcomes and per-requirement verdict counts and are
+byte-reproducible from (model, config, n, seed).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 
 from .datafiles import data_path
-from .executive import Event, ExecConfig
+from .executive import CONFIRM_ACTIONS, NOMINAL_EVENTS, Event, ExecConfig
 from .model import ProcessModel, normalize_label
 from .monitors import (
     MONITORED_REQUIREMENTS,
@@ -69,14 +72,6 @@ _NODE_EVENT_KINDS = {
     "releasepatient": [("commandConfirm", "release")],
     "processdone": [("commandConfirm", "release")],
 }
-
-# boolean payload field to corrupt, per event kind
-_CORRUPTIBLE = {
-    "postureUpdate": "valid",
-    "exposureComplete": "retake",
-}
-_CONFIRM_FIELDS = {"selfTest": "ready", "planReady": "valid",
-                   "adjustments": "needed", "stageIdentified": "view"}
 
 
 @dataclass
@@ -155,11 +150,9 @@ def _sample_injection(rng: random.Random, timeline, shard_catalog, ucas):
             delta = min(delta, anchor.timestamp)
         return Injection(target=target, transform=transform,
                          source_ref=source_ref, delta_ms=delta)
-    # CorruptValue
-    if kind == "commandConfirm":
-        payload_field = _CONFIRM_FIELDS.get(action)
-    else:
-        payload_field = _CORRUPTIBLE.get(kind)
+    # CorruptValue: the event's first declared boolean field, or a stage's view
+    fields = CONFIRM_ACTIONS[action] if kind == "commandConfirm" else NOMINAL_EVENTS[kind][1]
+    payload_field = "view" if action == "stageIdentified" else next(iter(fields), None)
     if payload_field is None or payload_field not in anchor.payload:
         return None
     mutation = "staleDuplicate" if payload_field == "view" else "negate"

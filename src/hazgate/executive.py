@@ -52,7 +52,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .jsoncheck import (
-    json_field, json_int, json_keys, json_names, json_object, json_text, json_version,
+    json_bool, json_field, json_int, json_keys, json_names, json_object, json_text, json_version,
 )
 from .model import KIND_ACTION, KIND_DECISION, KIND_FINAL, ProcessModel, normalize_label
 from .session import (
@@ -60,12 +60,41 @@ from .session import (
     SessionLog, stabilization_elapsed,
 )
 
-EVENT_KINDS = (
-    "commandConfirm", "voiceStop", "uiStop", "postureUpdate", "postureUnstable",
-    "movementDetected", "motionComplete", "exposureRequest", "exposureComplete",
-    "fault", "faultCleared", "assent", "assentWithdrawn", "resumeRequest",
-    "abandonSession", "tick",
-)
+# The input language, declared once for every generator: event kind -> (the
+# source that sends it in a nominal session, the boolean payload fields that
+# session gives it, at their values there)
+NOMINAL_EVENTS = {
+    "commandConfirm": ("Radiographer", {}),
+    "voiceStop": ("Patient", {}),
+    "uiStop": ("Radiographer", {}),
+    "postureUpdate": ("Sensor", {"valid": True}),
+    "postureUnstable": ("Sensor", {}),
+    "movementDetected": ("Sensor", {}),
+    "motionComplete": ("System", {}),
+    "exposureRequest": ("Radiographer", {}),
+    "exposureComplete": ("System", {"retake": False}),
+    "fault": ("Sensor", {}),
+    "faultCleared": ("System", {}),
+    "assent": ("Patient", {}),
+    "assentWithdrawn": ("Patient", {}),
+    "resumeRequest": ("Radiographer", {}),
+    "abandonSession": ("Patient", {}),
+    "tick": ("System", {}),
+}
+EVENT_KINDS = tuple(NOMINAL_EVENTS)
+
+# commandConfirm's workflow actions -> their nominal boolean payload fields;
+# "decide" and "advance" drive generic nodes only
+CONFIRM_ACTIONS = {
+    "selfTest": {"ready": True},
+    "stageIdentified": {},
+    "planReady": {"valid": True},
+    "motionStart": {},
+    "exposure": {},
+    "adjustments": {"needed": False},
+    "release": {},
+    "resume": {},
+}
 
 # log entry kinds produced for the four auditable event families (R8)
 LOGGABLE_EVENT_FAMILY = {
@@ -188,8 +217,10 @@ def _names_once(value, where: str, what: str, known=None) -> tuple[str, ...]:
     return names
 
 
-# payload fields the executive keys on or logs as text
+# payload fields the executive keys on or logs as text, and those it reads as
+# booleans: the declared ones, stageIdentified's "identified" and decide's "value"
 _TEXT_PAYLOAD_FIELDS = ("action", "guard", "view", "detail")
+_BOOLEAN_PAYLOAD_FIELDS = ("ready", "identified", "valid", "needed", "value", "retake")
 
 
 class Event:
@@ -227,6 +258,9 @@ class Event:
         for key in _TEXT_PAYLOAD_FIELDS:
             if key in payload:
                 json_text(payload[key], f"event payload {key}")
+        for key in _BOOLEAN_PAYLOAD_FIELDS:
+            if key in payload:
+                json_bool(payload[key], f"event payload {key}")
         return cls(
             json_int(json_field(data, "t", "event"), "event t"),
             json_field(data, "source", "event"),

@@ -33,6 +33,13 @@ def json_text(value, where: str) -> str:
     return value
 
 
+def json_bool(value, where: str) -> bool:
+    """A JSON boolean; text such as "false" is not one."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{where} must be true or false, got {value!r}")
+    return value
+
+
 def json_list(value, where: str) -> list:
     """A JSON list; a tuple (a built-in default) passes too."""
     if not isinstance(value, (list, tuple)):

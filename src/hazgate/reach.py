@@ -9,6 +9,11 @@ the window-elapsed/freshness booleans in the abstract state key are exact
 functions of the event history.  The key reads the stabilization window
 through the executive's own ``stabilization_elapsed``.
 
+Stimuli come from the executive's declaration of its input language: any
+declared kind is an alphabet letter, sent by its nominal source with its
+nominal payload (``executive.NOMINAL_EVENTS``), a ``commandConfirm`` once
+per workflow action (``executive.CONFIRM_ACTIONS``).
+
 Each transition handles its event on ``ExecState.branch()``, a slot-wise
 copy of the parent state with an empty log.  The branch shares only
 immutable values with its parent, the ledger's record tuple and the
@@ -52,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 
-from .executive import Event, ExecConfig, SafetyExecutive
+from .executive import CONFIRM_ACTIONS, NOMINAL_EVENTS, Event, ExecConfig, SafetyExecutive
 from .model import ProcessModel
 from .monitors import VIOLATED, exposure_condition_failures, monitor_r24
 from .session import ExecState, stabilization_elapsed
@@ -67,47 +72,18 @@ DEFAULT_ALPHABET = (
     "exposureComplete", "assent", "voiceStop", "tick",
 )
 
-_CONFIRM_EXPANSIONS = (
-    {"action": "selfTest", "ready": True},
-    {"action": "stageIdentified"},
-    {"action": "planReady", "valid": True},
-    {"action": "motionStart"},
-    {"action": "exposure"},
-    {"action": "adjustments", "needed": False},
-    {"action": "release"},
-    {"action": "resume"},
-)
-
-_KIND_SOURCE = {
-    "commandConfirm": "Radiographer",
-    "postureUpdate": "Sensor",
-    "motionComplete": "System",
-    "exposureRequest": "Radiographer",
-    "exposureComplete": "System",
-    "assent": "Patient",
-    "voiceStop": "Patient",
-    "uiStop": "Radiographer",
-    "movementDetected": "Sensor",
-    "postureUnstable": "Sensor",
-    "fault": "Sensor",
-    "faultCleared": "System",
-    "resumeRequest": "Radiographer",
-    "abandonSession": "Patient",
-    "tick": "System",
-}
-
-_KIND_PAYLOADS = {
-    "commandConfirm": _CONFIRM_EXPANSIONS,
-    "postureUpdate": ({"valid": True},),
-    "exposureComplete": ({"retake": False},),
-}
-
 
 def stimuli_for(alphabet) -> list[tuple[str, dict]]:
+    """(kind, nominal payload) per stimulus; commandConfirm once per action."""
     out = []
     for kind in alphabet:
-        for payload in _KIND_PAYLOADS.get(kind, ({},)):
-            out.append((kind, payload))
+        if kind not in NOMINAL_EVENTS:
+            raise ValueError(f"reach alphabet names unknown event kind {kind!r}")
+        if kind == "commandConfirm":
+            out += [(kind, {"action": action, **fields})
+                    for action, fields in CONFIRM_ACTIONS.items()]
+        else:
+            out.append((kind, dict(NOMINAL_EVENTS[kind][1])))
     return out
 
 
@@ -177,7 +153,7 @@ def brute_force_reachability(
     executive = SafetyExecutive(model, reach_config, enabled=executive_enabled)
     # (kind, source, payload, clock delay) per stimulus
     stimuli = [
-        (kind, _KIND_SOURCE[kind], payload,
+        (kind, NOMINAL_EVENTS[kind][0], payload,
          reach_config.stabilization_window_ms if kind == "tick" else 0)
         for kind, payload in stimuli_for(alphabet)
     ]

@@ -26,7 +26,7 @@ TRANSFORM_FOR_GUIDEWORD = {
     "Value": "CorruptValue",
 }
 
-TRANSFORMS = ("Drop", "SpuriousInsert", "ShiftEarly", "ShiftLate", "CorruptValue")
+TRANSFORMS = tuple(TRANSFORM_FOR_GUIDEWORD.values())
 MUTATIONS = ("negate", "zero", "outOfRange", "staleDuplicate")
 
 OUTCOME_SAFE_COMPLETION = "SafeCompletion"

@@ -249,12 +249,18 @@ class TestMalformedInputs:
         (lambda d: d["expected_outcome"].update(kind="SafeCompletion"),
          "scenario expected_outcome requirement applies only to kind ViolationExpected, "
          "not SafeCompletion"),
+        (lambda d: d["base_timeline"][2]["payload"].update(valid="false"),
+         "base_timeline[2]: event payload valid must be true or false, got 'false'"),
+        (lambda d: d["base_timeline"][0]["payload"].update(ready=1),
+         "base_timeline[0]: event payload ready must be true or false, got 1"),
+        (lambda d: d["base_timeline"][1]["payload"].update(identified=None),
+         "base_timeline[1]: event payload identified must be true or false, got None"),
     ], ids=["no-name", "text-t", "bool-t", "misspelt-injections", "misspelt-payload",
             "foreign-version", "list-action", "list-guard", "object-view", "list-detail",
             "object-detail", "negated-text", "list-payload-field", "zero-view",
             "list-requirement",
             "unknown-requirement", "number-requirement", "null-requirement",
-            "requirement-without-violation"])
+            "requirement-without-violation", "text-valid", "number-ready", "null-identified"])
     def test_malformed_scenario(self, tmp_path, capsys, mutate, reason):
         bad = tmp_path / "scenario.json"
         bad.write_text(json.dumps(_mutated(self.SCENARIO, mutate)))

@@ -7,7 +7,7 @@ import pytest
 
 from hazgate import reach
 from hazgate.datafiles import data_path
-from hazgate.executive import ExecConfig, SafetyExecutive
+from hazgate.executive import EVENT_KINDS, ExecConfig, SafetyExecutive
 from hazgate.model import load_model
 from hazgate.reach import (
     DEFAULT_ALPHABET,
@@ -52,6 +52,19 @@ class TestAlphabet:
         confirm = [payload for kind, payload in stimuli if kind == "commandConfirm"]
         assert len(confirm) == 8
         assert len(stimuli) == 15
+
+    def test_every_declared_kind_is_a_letter(self, mammobot, config):
+        # counts are not pinned: they move when the abstract key keeps
+        # whether the stabilization window is running
+        result = brute_force_reachability(mammobot, config, max_depth=4, alphabet=EVENT_KINDS)
+        assert not result.unsafe_reachable
+        assert result.complete
+        assert result.cross_checked == result.states_explored - 1
+        assert result.cross_check_disagreements == []
+
+    def test_unknown_kind_rejected(self, mammobot, config):
+        with pytest.raises(ValueError, match="unknown event kind 'bogus'"):
+            brute_force_reachability(mammobot, config, alphabet=("tick", "bogus"))
 
 
 class TestAbstractKey:
