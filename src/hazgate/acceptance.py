@@ -206,7 +206,7 @@ def criterion_5():
     allowed = 0
     now = 10_000
     for bits in itertools.product([False, True], repeat=len(EXPOSURE_CONDITIONS)):
-        _, state = init_executive(model, config)
+        executive, state = init_executive(model, config)
         state.clock = now
         held = dict(zip(EXPOSURE_CONDITIONS, bits))
         state.posture_valid = held["postureValid"]
@@ -222,7 +222,7 @@ def criterion_5():
         state.fault_active = not held["noFault"]
         state.interruption_active = not held["noInterruption"]
         state.revalidation_required = not held["noRevalidationPending"]
-        granted = not gate_failures(EXPOSURE_GATE, state, config)
+        granted = not gate_failures(EXPOSURE_GATE, executive, state)
         if granted != all(bits):  # brute-force conjunction oracle
             return False, f"gate disagrees with oracle at {bits}"
         allowed += granted

@@ -163,7 +163,8 @@ def _sample_injection(rng: random.Random, timeline, shard_catalog, ucas):
 def generate_campaign_scenario(rng: random.Random, config: ExecConfig,
                                shard_catalog, ucas, index: int) -> Scenario:
     retakes = {}
-    if rng.random() < 0.3:
+    # every scenario takes the 0.3 draw, whatever the retake bound
+    if rng.random() < 0.3 and config.max_retakes_per_view > 0:
         view = rng.choice(config.required_views)
         retakes[view] = rng.randint(1, config.max_retakes_per_view)
     timeline = nominal_timeline(config, rng=rng, retakes=retakes)

@@ -8,20 +8,23 @@ simulated milliseconds carried on events; there is no wall-clock dependence.
 
 Safety-critical grants (motion start, X-ray exposure, patient release,
 resume after stop) pass through explicit gates over the current state plus
-a multi-source confirmation ledger with a freshness window.  The exposure
-and motion gates are tables of named conditions, ``EXPOSURE_GATE`` and
-``MOTION_GATE``, each entry ``(name, holds(state, config))`` in refusal
+a multi-source confirmation ledger with a freshness window.  The gates are
+tables of named conditions, ``EXPOSURE_GATE``, ``MOTION_GATE`` and
+``RELEASE_GATE``, each row ``(name, holds(executive, state))`` in refusal
 order; ``gate_failures`` scans a table once and returns the names that
-fail, and the release gate is one such list over the executive's node
-roles.  A refusal cites the requirement ``CONDITION_CITES`` gives its first
-failed name, so removing one entry from a table removes one conjunct.  Motion,
-exposure and release are granted through one path, ``_grant``, which
-consumes the confirmations that enabled the grant, so every exposure or
-motion needs fresh confirmations of its own; resume consumes its own.
-Every refusal goes through one path, ``_refuse``, which records the
-verdict and its log line together.  Decision guards are read through one
-table, ``_GUARD_SLOTS``, naming the input slot each guard reads and
-consumes; only the live-state guards are written out.
+fail.  ``GRANTS`` gives each ledger action its gate (motion and exposure
+with their stage check as the last row), the state flag the grant sets and
+what it emits and logs, and every motion, exposure and release request is
+decided by one method, ``_grant``: refused as stopped while frozen, ignored
+as a repeat while its flag is set, refused on its gate, or granted,
+consuming the confirmations that enabled it, so every exposure or motion
+needs fresh confirmations of its own; resume consumes its own.  A refusal
+cites the requirement ``CONDITION_CITES`` gives its first failed name, so
+removing one row from a table removes one conjunct.  Every refusal goes
+through one path, ``_refuse``, which records the verdict and its log line
+together.  Decision guards are read through one table, ``_GUARD_SLOTS``,
+naming the input slot each guard reads and consumes; only the live-state
+guards are written out.
 
 The session's state, its confirmation ledger and its log are defined in
 :mod:`hazgate.session`; this module is the interpreter that writes them.
@@ -323,40 +326,71 @@ def _label_role(label: str) -> str:
     return _NODE_ROLES.get(normalize_label(label), "generic")
 
 
-# a gate is a table of (condition name, holds(state, config)), in refusal
+def _at_stage(*roles):
+    """A gate condition: the workflow rests on a node of one of ``roles``."""
+    return lambda executive, state: executive._role(state.current_node) in roles
+
+
+# a gate is a table of (condition name, holds(executive, state)), in refusal
 # order; the gate allows when every condition holds
 
 # the eight exposure interlock conditions
 EXPOSURE_GATE = (
-    ("postureValid", lambda state, config: state.posture_valid),
-    ("stabilizationElapsed", stabilization_elapsed),
-    ("armImmobility", lambda state, config: not state.arm_moving),
+    ("postureValid", lambda executive, state: state.posture_valid),
+    ("stabilizationElapsed",
+     lambda executive, state: stabilization_elapsed(state, executive.config)),
+    ("armImmobility", lambda executive, state: not state.arm_moving),
     ("patientAssentFresh",
-     lambda state, config: state.ledger.fresh("exposure", "Patient", state.clock)),
+     lambda executive, state: state.ledger.fresh("exposure", "Patient", state.clock)),
     ("radiographerConfirmFresh",
-     lambda state, config: state.ledger.fresh("exposure", "Radiographer", state.clock)),
-    ("noFault", lambda state, config: not state.fault_active),
-    ("noInterruption", lambda state, config: not state.interruption_active),
-    ("noRevalidationPending", lambda state, config: not state.revalidation_required),
+     lambda executive, state: state.ledger.fresh("exposure", "Radiographer", state.clock)),
+    ("noFault", lambda executive, state: not state.fault_active),
+    ("noInterruption", lambda executive, state: not state.interruption_active),
+    ("noRevalidationPending", lambda executive, state: not state.revalidation_required),
 )
 
 # the five motion-enable conditions
 MOTION_GATE = (
-    ("postureValid", lambda state, config: state.posture_valid),
-    ("noInterruption", lambda state, config: not state.interruption_active),
-    ("noFault", lambda state, config: not state.fault_active),
-    ("noRevalidationPending", lambda state, config: not state.revalidation_required),
+    ("postureValid", lambda executive, state: state.posture_valid),
+    ("noInterruption", lambda executive, state: not state.interruption_active),
+    ("noFault", lambda executive, state: not state.fault_active),
+    ("noRevalidationPending", lambda executive, state: not state.revalidation_required),
     ("ledgerMotionStart",
-     lambda state, config: state.ledger.satisfied("motionStart", state.clock)),
+     lambda executive, state: state.ledger.satisfied("motionStart", state.clock)),
+)
+
+# the four release conditions
+RELEASE_GATE = (
+    ("motionComplete", lambda executive, state: not state.arm_moving),
+    ("noPendingRetake", lambda executive, state: state.retake_result is not True),
+    ("atReleaseStage", _at_stage("release")),
+    ("ledgerRelease", lambda executive, state: state.ledger.satisfied("release", state.clock)),
 )
 
 EXPOSURE_CONDITIONS = tuple(name for name, _ in EXPOSURE_GATE)
 MOTION_CONDITIONS = tuple(name for name, _ in MOTION_GATE)
+RELEASE_CONDITIONS = tuple(name for name, _ in RELEASE_GATE)
 
 
-def gate_failures(gate, state: ExecState, config: ExecConfig) -> list[str]:
+def gate_failures(gate, executive: SafetyExecutive, state: ExecState) -> list[str]:
     """Names of the gate's conditions that fail, in the gate's order."""
-    return [name for name, holds in gate if not holds(state, config)]
+    return [name for name, holds in gate if not holds(executive, state)]
+
+
+# ledger action -> (its gate, the state flag its grant sets, the detail of a
+# repeat ignored while that flag is set, the marker it emits, its verdict
+# subject, its log kind (also the mark), its log details); the motion and
+# exposure stage checks are their gates' last rows
+GRANTS = {
+    "motionStart": ((*MOTION_GATE, ("atMotionStage", _at_stage("motion", "adjust"))),
+                    "arm_moving", "already moving", "start-motion", "motionStart",
+                    "motion", "started"),
+    "exposure": ((*EXPOSURE_GATE, ("atCaptureStage", _at_stage("capture"))),
+                 "exposure_in_progress", "already in progress", "fire-exposure",
+                 "exposureRequest", "exposure", "granted"),
+    "release": (RELEASE_GATE, "compliance_mode", "already compliant", "enter-compliance",
+                "release", "release", "compliant safe posture"),
+}
 
 
 class StepVerdict(NamedTuple):
@@ -375,21 +409,6 @@ def _refuse(state: ExecState, verdicts, subject, requirement, detail, logged) ->
     """Refuse a command: its verdict and its refusal log line."""
     verdicts.append(StepVerdict("refused", subject, requirement, detail))
     state.log.append(state.clock, "refusal", "System", logged)
-
-
-def _refuse_failed(state: ExecState, verdicts, subject, action, failed) -> None:
-    """Refuse a gated grant, citing the first failed condition's requirement."""
-    joined = ",".join(failed)
-    _refuse(state, verdicts, subject, cite_for(failed), "failed: " + joined,
-            f"{action}: {joined}")
-
-
-def _grant(state: ExecState, emitted, verdicts, action, marker, subject, log_kind, logged) -> None:
-    """Record a grant; it consumes the confirmations that enabled it."""
-    state.ledger.consume(action)
-    emitted.append(marker)
-    verdicts.append(StepVerdict("granted", subject))
-    state.log.append(state.clock, log_kind, "System", logged, log_kind)
 
 
 class SafetyExecutive:
@@ -494,39 +513,36 @@ class SafetyExecutive:
             state.log.append(state.clock, "revalidation", "System",
                              "posture, trajectory and readiness revalidated")
 
-    # -- gates & grants -----------------------------------------------------
+    # -- grants -------------------------------------------------------------
 
-    def _try_start_motion(self, state: ExecState, emitted, verdicts) -> None:
-        if self.enabled:
-            failed = gate_failures(MOTION_GATE, state, self.config)
-            if self._role(state.current_node) not in ("motion", "adjust"):
-                failed.append("atMotionStage")
-            if failed:
-                _refuse_failed(state, verdicts, "motionStart", "motionStart", failed)
-                return
-        state.arm_moving = True
-        _grant(state, emitted, verdicts, "motionStart", "start-motion", "motionStart",
-               "motion", "started")
-
-    def _try_release(self, state: ExecState, emitted, verdicts, safe_path: bool = False) -> None:
-        """Compliance-mode transition; gated unless taken as the safe path."""
-        if state.compliance_mode:
-            verdicts.append(StepVerdict("ignored", "release", detail="already compliant"))
+    def _grant(self, state: ExecState, action: str, emitted, verdicts,
+               safe_path: bool = False) -> None:
+        """Decide a request for a ledger action by its ``GRANTS`` row: refuse
+        it as stopped while frozen, ignore a repeat, refuse it on its gate, or
+        grant it, consuming the confirmations that enabled it.  The safe path,
+        a release an emergency mandates, skips the stop check and the gate."""
+        gate, flag, repeat, marker, subject, log_kind, logged = GRANTS[action]
+        if not safe_path and self._frozen(state):
+            _refuse(state, verdicts, subject, "R14", "stopped", action + ": stopped")
+            return
+        if getattr(state, flag):
+            verdicts.append(StepVerdict("ignored", subject, detail=repeat))
             return
         if self.enabled and not safe_path:
-            failed = [name for name, holds in (
-                ("motionComplete", not state.arm_moving),
-                ("noPendingRetake", state.retake_result is not True),
-                ("atReleaseStage", self._role(state.current_node) == "release"),
-                ("ledgerRelease", state.ledger.satisfied("release", state.clock)),
-            ) if not holds]
+            failed = gate_failures(gate, self, state)
             if failed:
-                _refuse_failed(state, verdicts, "release", "release", failed)
+                joined = ",".join(failed)
+                _refuse(state, verdicts, subject, cite_for(failed), "failed: " + joined,
+                        f"{action}: {joined}")
                 return
-        state.arm_moving = False
-        state.compliance_mode = True
-        _grant(state, emitted, verdicts, "release", "enter-compliance", "release", "release",
-               "compliant safe posture" + (" (safe path)" if safe_path else ""))
+        if action == "release":
+            state.arm_moving = False  # the compliant posture holds the arm still
+        setattr(state, flag, True)
+        state.ledger.consume(action)
+        emitted.append(marker)
+        verdicts.append(StepVerdict("granted", subject))
+        state.log.append(state.clock, log_kind, "System",
+                         logged + (" (safe path)" if safe_path else ""), log_kind)
 
     # -- public operations (spec surface) -----------------------------------
 
@@ -538,7 +554,7 @@ class SafetyExecutive:
             if state.fault_active or state.interruption_active or state.awaiting_resume \
                     or state.session_status == STATUS_ABANDONED:
                 self._halt_motion(state, emitted)
-                self._try_release(state, emitted, verdicts, safe_path=True)
+                self._grant(state, "release", emitted, verdicts, safe_path=True)
         return StepResult(emitted, verdicts)
 
     # -- event dispatch ------------------------------------------------------
@@ -597,22 +613,12 @@ class SafetyExecutive:
             emitted.append("plan-accepted")
             state.log.append(state.clock, "plan", "System", "accepted", "plan")
         elif action == "motionStart":
-            if self._frozen(state):
-                _refuse(state, verdicts, "motionStart", "R14", "stopped", "motionStart: stopped")
-            elif state.arm_moving:
-                verdicts.append(StepVerdict("ignored", "motionStart", detail="already moving"))
-            else:
-                self._try_start_motion(state, emitted, verdicts)
+            self._grant(state, action, emitted, verdicts)
         elif action == "adjustments":
             state.adjustments_result = bool(event.payload.get("needed", False))
         elif action == "release":
-            safe = state.session_status == STATUS_ABANDONED or (
-                self.enabled and state.fault_active
-            )
-            if self._frozen(state) and not safe:
-                _refuse(state, verdicts, "release", "R14", "stopped", "release: stopped")
-            else:
-                self._try_release(state, emitted, verdicts, safe_path=safe)
+            self._grant(state, action, emitted, verdicts, safe_path=(
+                state.session_status == STATUS_ABANDONED or (self.enabled and state.fault_active)))
         elif action == "decide":
             name = _payload_text(event, "guard", "")
             if name:
@@ -660,22 +666,7 @@ class SafetyExecutive:
         state.log.append(state.clock, "motion", "System", "complete", "motionComplete")
 
     def _on_exposureRequest(self, state, event, emitted, verdicts):
-        if self._frozen(state):
-            _refuse(state, verdicts, "exposureRequest", "R14", "stopped", "exposure: stopped")
-            return
-        if state.exposure_in_progress:
-            verdicts.append(StepVerdict("ignored", "exposureRequest", detail="already in progress"))
-            return
-        if self.enabled:
-            failed = gate_failures(EXPOSURE_GATE, state, self.config)
-            if self._role(state.current_node) != "capture":
-                failed.append("atCaptureStage")
-            if failed:
-                _refuse_failed(state, verdicts, "exposureRequest", "exposure", failed)
-                return
-        state.exposure_in_progress = True
-        _grant(state, emitted, verdicts, "exposure", "fire-exposure", "exposureRequest",
-               "exposure", "granted")
+        self._grant(state, "exposure", emitted, verdicts)
 
     def _on_exposureComplete(self, state, event, emitted, verdicts):
         if not state.exposure_in_progress:
@@ -770,7 +761,7 @@ class SafetyExecutive:
         release_node = self._role_nodes.get("release")
         if release_node is not None:
             state.current_node = release_node
-        self._try_release(state, emitted, verdicts, safe_path=True)
+        self._grant(state, "release", emitted, verdicts, safe_path=True)
 
     # -- graph progression ----------------------------------------------------
 
@@ -844,7 +835,7 @@ class SafetyExecutive:
                     release_node = self._role_nodes.get("release")
                     if release_node is not None:
                         self._enter(state, release_node, verdicts)
-                        self._try_release(state, emitted, verdicts, safe_path=True)
+                        self._grant(state, "release", emitted, verdicts, safe_path=True)
                     return
                 nxt = if_true if value else if_false
             elif kind == KIND_FINAL or nxt is None or (

@@ -25,6 +25,10 @@ does not classify the log.  The grants stay on the steps' actuator markers
 plus their own orphan-exposure rule, a view independent of the log: reach's
 cross-check compares its log-mark view of firings with R24, which is built
 on the grants, and grants read from the marks would compare a rule with itself.
+
+R20 leaves a release taken in emergency context (an abandonment, or a fault
+or stop with no resume after it) to R25; ``_emergency_context`` decides
+that in one pass over the log.
 """
 
 from __future__ import annotations
@@ -354,27 +358,25 @@ def monitor_r16(trace, config: ExecConfig, facts: TraceFacts | None = None) -> M
 
 
 def _emergency_context(trace, t) -> bool:
-    """True when a fault/abandonment/unresumed stop is pending at time t.
+    """True when, by time t, the session was abandoned or its latest fault or
+    stop has no resume after it; one pass over the log, which is in time order.
 
     The safe-posture transition that emergencies mandate is system-initiated,
-    so the multi-source confirmation rule does not govern it."""
-    resumes = [e.t for e in trace.log if e.kind == "resume"]
+    so the multi-source confirmation rule does not govern it.  Any later
+    resume ends a fault here, even one before the fault was cleared: that is
+    the known R20 false positive (ROADMAP item 5), whose fix is one more
+    condition on the resume below."""
+    since = None  # time of the latest fault or stop not yet resumed
     for e in trace.log:
         if e.t > t:
             break
         if e.kind == "abandon":
             return True
-        if e.kind in ("fault", "interruption") and not any(e.t < rt <= t for rt in resumes):
-            if e.kind == "fault":
-                cleared = any(
-                    x.kind == "faultCleared" and e.t <= x.t <= t for x in trace.log
-                )
-                resumed = any(e.t < rt <= t for rt in resumes)
-                if not (cleared and resumed):
-                    return True
-            else:
-                return True
-    return False
+        if e.kind in ("fault", "interruption"):
+            since = e.t
+        elif e.kind == "resume" and since is not None and e.t > since:
+            since = None
+    return since is not None
 
 
 def monitor_r20(trace, config: ExecConfig, facts: TraceFacts | None = None) -> MonitorVerdict:

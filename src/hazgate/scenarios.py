@@ -14,7 +14,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .executive import Event, ExecConfig
+from .executive import _BOOLEAN_PAYLOAD_FIELDS, Event, ExecConfig
 from .jsoncheck import json_field, json_int, json_keys, json_list, json_text, json_version
 from .monitors import MONITORED_REQUIREMENTS
 
@@ -193,6 +193,9 @@ def apply_injection(timeline: list[Event], inj: Injection) -> list[Event]:
             elif inj.mutation == "zero":
                 payload[inj.payload_field] = False if isinstance(value, bool) else 0
             elif inj.mutation == "outOfRange":
+                if inj.payload_field in _BOOLEAN_PAYLOAD_FIELDS:  # the loader's rule
+                    raise InjectionError(f"outOfRange cannot corrupt boolean payload field "
+                                         f"{inj.payload_field!r}: it must stay true or false")
                 payload[inj.payload_field] = "OUT-OF-RANGE" if isinstance(value, str) else 10**9
             elif inj.mutation == "staleDuplicate":
                 if previous_value is not None:

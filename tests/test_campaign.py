@@ -1,7 +1,9 @@
 import hashlib
+from dataclasses import replace
 
 import pytest
 
+from hazgate import campaign
 from hazgate.campaign import SOUNDNESS_REQUIREMENTS, run_random_campaign
 from hazgate.datafiles import data_path
 from hazgate.executive import ExecConfig
@@ -61,3 +63,25 @@ class TestCampaign:
 
     def test_soundness_set(self):
         assert SOUNDNESS_REQUIREMENTS == ("R14", "R20", "R21", "R23", "R24", "R25")
+
+
+def _retakes_drawn(monkeypatch, mammobot, config) -> int:
+    """Retakes in the nominal timelines a 20-scenario campaign at seed 1 draws."""
+    scenarios = []
+    generate = campaign.generate_campaign_scenario
+
+    def recording(*args):
+        scenarios.append(generate(*args))
+        return scenarios[-1]
+
+    monkeypatch.setattr(campaign, "generate_campaign_scenario", recording)
+    report = run_random_campaign(mammobot, config, 20, seed=1)
+    assert report.n == len(scenarios) == 20
+    return sum(e.kind == "exposureComplete" and e.payload.get("retake") is True
+               for scenario in scenarios for e in scenario.base_timeline)
+
+
+def test_campaign_without_retakes_draws_none(monkeypatch, mammobot, config):
+    """A config with no retake allowance is a valid campaign input."""
+    assert _retakes_drawn(monkeypatch, mammobot, config) > 0
+    assert _retakes_drawn(monkeypatch, mammobot, replace(config, max_retakes_per_view=0)) == 0

@@ -255,12 +255,15 @@ class TestMalformedInputs:
          "base_timeline[0]: event payload ready must be true or false, got 1"),
         (lambda d: d["base_timeline"][1]["payload"].update(identified=None),
          "base_timeline[1]: event payload identified must be true or false, got None"),
+        (lambda d: d.update(injections=[dict(_CORRUPT_SELF_TEST, mutation="outOfRange")]),
+         "outOfRange cannot corrupt boolean payload field 'ready': it must stay true or false"),
     ], ids=["no-name", "text-t", "bool-t", "misspelt-injections", "misspelt-payload",
             "foreign-version", "list-action", "list-guard", "object-view", "list-detail",
             "object-detail", "negated-text", "list-payload-field", "zero-view",
             "list-requirement",
             "unknown-requirement", "number-requirement", "null-requirement",
-            "requirement-without-violation", "text-valid", "number-ready", "null-identified"])
+            "requirement-without-violation", "text-valid", "number-ready", "null-identified",
+            "out-of-range-ready"])
     def test_malformed_scenario(self, tmp_path, capsys, mutate, reason):
         bad = tmp_path / "scenario.json"
         bad.write_text(json.dumps(_mutated(self.SCENARIO, mutate)))

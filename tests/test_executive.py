@@ -16,6 +16,7 @@ from hazgate.executive import (
     CONDITION_CITES,
     EXPOSURE_CONDITIONS,
     EXPOSURE_GATE,
+    GRANTS,
     MOTION_CONDITIONS,
     MOTION_GATE,
     ExecConfig,
@@ -363,11 +364,13 @@ class TestExposureGate:
         return state
 
     def test_all_satisfied_allows(self, mammobot, config):
-        assert gate_failures(EXPOSURE_GATE, self._state_with(mammobot, config), config) == []
+        assert gate_failures(EXPOSURE_GATE, SafetyExecutive(mammobot, config),
+                             self._state_with(mammobot, config)) == []
 
     def test_arm_moving_causes_single_named_failure(self, mammobot, config):
         state = self._state_with(mammobot, config, failing=("armImmobility",))
-        assert gate_failures(EXPOSURE_GATE, state, config) == ["armImmobility"]
+        assert gate_failures(EXPOSURE_GATE, SafetyExecutive(mammobot, config), state) == [
+            "armImmobility"]
 
     def test_truth_table_exactly_one_allowed(self, mammobot, config):
         """Brute-force 2^8 sweep: the gate must be the pure conjunction."""
@@ -377,7 +380,7 @@ class TestExposureGate:
                 name for name, ok in zip(EXPOSURE_CONDITIONS, bits) if not ok
             )
             state = self._state_with(mammobot, config, failing=failing)
-            failed = gate_failures(EXPOSURE_GATE, state, config)
+            failed = gate_failures(EXPOSURE_GATE, SafetyExecutive(mammobot, config), state)
             oracle = all(bits)
             assert (not failed) == oracle, (bits, failed)
             if not failed:
@@ -388,9 +391,9 @@ class TestExposureGate:
 
     def test_gate_is_deterministic(self, mammobot, config):
         state = self._state_with(mammobot, config, failing=("noFault",))
-        first = gate_failures(EXPOSURE_GATE, state, config)
+        first = gate_failures(EXPOSURE_GATE, SafetyExecutive(mammobot, config), state)
         for _ in range(50):
-            assert gate_failures(EXPOSURE_GATE, state, config) == first
+            assert gate_failures(EXPOSURE_GATE, SafetyExecutive(mammobot, config), state) == first
 
 
 class TestMotionGate:
@@ -420,7 +423,7 @@ class TestMotionGate:
                 name for name, ok in zip(MOTION_CONDITIONS, bits) if not ok
             )
             state = self._state_with(mammobot, config, failing=failing)
-            granted = not gate_failures(MOTION_GATE, state, config)
+            granted = not gate_failures(MOTION_GATE, SafetyExecutive(mammobot, config), state)
             assert granted == all(bits)
             allowed += granted
         assert allowed == 1
@@ -608,6 +611,46 @@ class TestRelease:
         assert state.retake_count["CC"] == bound + 1
 
 
+class TestProtectivePaths:
+    """Each protective reaction, observed on the emitted markers and on what
+    the session does next."""
+
+    @pytest.mark.parametrize("source,kind", [
+        ("Patient", "voiceStop"), ("Sensor", "fault"), ("Patient", "abandonSession")])
+    def test_exposure_aborted_and_its_completion_ignored(self, mammobot, config, source, kind):
+        executive, state = fresh(mammobot, config)
+        request = _first_request(executive, state, config, "exposure")
+        assert "fire-exposure" in executive.handle_event(state, request).emitted
+        view = state.current_view
+        result = executive.handle_event(state, Event(request.timestamp + 10, source, kind))
+        assert "abort-exposure" in result.emitted
+        assert not state.exposure_in_progress
+        result = executive.handle_event(state, Event(request.timestamp + 20, "System",
+                                                     "exposureComplete", {"retake": False}))
+        assert [(v.kind, v.subject) for v in result.verdicts] == [
+            ("ignored", "exposureComplete")]
+        assert view not in state.views_acquired
+
+    def test_unstable_posture_halts_motion(self, mammobot, config):
+        executive, state = fresh(mammobot, config)
+        request = _first_request(executive, state, config, "motionStart")
+        assert "start-motion" in executive.handle_event(state, request).emitted
+        result = executive.handle_event(
+            state, Event(request.timestamp + 10, "Sensor", "postureUnstable"))
+        assert result.emitted == ["halt-motion"]
+        assert not state.arm_moving
+
+    def test_withdrawn_assent_routes_patient_ok_to_release(self, mammobot, config):
+        executive, state = fresh(mammobot, config)
+        events = nominal_timeline(config)
+        done = next(e for e in events if e.kind == "motionComplete")
+        run_prefix(executive, state, events, done.timestamp - 1)
+        assert state.arm_moving
+        executive.handle_event(state, Event(done.timestamp - 1, "Patient", "assentWithdrawn"))
+        executive.handle_event(state, done)
+        assert state.current_node == executive._role_nodes["release"]
+
+
 class TestGrantsConsumeConfirmations:
     @pytest.mark.parametrize("marker,action", [
         ("start-motion", "motionStart"),
@@ -709,6 +752,10 @@ _GATE_BREAKERS = {
 RELEASE_REFUSAL = "release: motionComplete,noPendingRetake,atReleaseStage,ledgerRelease"
 RELEASE_CONDITIONS = tuple(RELEASE_REFUSAL.split(": ")[1].split(","))
 
+# every (request action, condition) that handle_event can fail alone
+_BREAKABLE = [(action, name) for action, breakers in _GATE_BREAKERS.items()
+              for name, breaker in breakers.items() if breaker is not None]
+
 
 class TestGateTables:
     """Each gate condition, failing alone, refuses through handle_event with
@@ -742,7 +789,7 @@ class TestGateTables:
         setattr(state, "fault_active" if condition == "noFault" else "interruption_active",
                 True)
         gate = EXPOSURE_GATE if action == "exposure" else MOTION_GATE
-        assert gate_failures(gate, state, config) == [condition]
+        assert gate_failures(gate, executive, state) == [condition]
         result = executive.handle_event(state, request)
         assert [(v.kind, v.requirement, v.detail) for v in result.verdicts] == [
             ("refused", "R14", "stopped")]
@@ -767,10 +814,24 @@ class TestGateTables:
         can produce needs its own CONDITION_CITES row."""
         cited = [name for name, _ in CONDITION_CITES]
         assert len(cited) == len(set(cited))
-        produced = {*EXPOSURE_CONDITIONS, *MOTION_CONDITIONS, *RELEASE_CONDITIONS,
-                    "atCaptureStage", "atMotionStage"}
+        produced = {name for gate, *_ in GRANTS.values() for name, _ in gate}
         assert produced <= set(cited), produced - set(cited)
         assert all(cite_for([name]) is not None for name in produced)
+
+    @pytest.mark.parametrize("action,condition", _BREAKABLE)
+    def test_condition_is_load_bearing(self, monkeypatch, mammobot, config, action, condition):
+        """With its row taken out of its grant's gate, the request that the
+        row alone refuses is granted: no other row stands in for it."""
+        gate, *rest = GRANTS[action]
+        mutant = tuple(row for row in gate if row[0] != condition)
+        assert len(mutant) == len(gate) - 1
+        monkeypatch.setitem(GRANTS, action, (mutant, *rest))
+        executive, state = fresh(mammobot, config)
+        request = _first_request(executive, state, config, action)
+        request = _GATE_BREAKERS[action][condition](executive, state, request)
+        result = executive.handle_event(state, request)
+        assert [v.kind for v in result.verdicts] == ["granted"]
+        assert not [e for e in state.log if e.kind == "refusal"]
 
 
 class TestSessionLog:
