@@ -114,7 +114,9 @@ class CampaignReport:
 
 
 def _sample_injection(rng: random.Random, timeline, shard_catalog, ucas):
-    """One catalog-sampled injection aimed at events the timeline contains."""
+    """One catalog-sampled injection aimed at events the timeline contains,
+    or None when the sampled row names no event of the timeline it can
+    change; the campaign counts that injection as skipped."""
     if shard_catalog and (not ucas or rng.random() < 0.5):
         row = rng.choice(shard_catalog)
         transform = TRANSFORM_FOR_GUIDEWORD[row.guideword]
@@ -168,16 +170,19 @@ def generate_campaign_scenario(rng: random.Random, config: ExecConfig,
         view = rng.choice(config.required_views)
         retakes[view] = rng.randint(1, config.max_retakes_per_view)
     timeline = nominal_timeline(config, rng=rng, retakes=retakes)
-    injections = []
+    injections, unaimed = [], 0
     for _ in range(rng.randint(1, 2)):
         injection = _sample_injection(rng, timeline, shard_catalog, ucas)
-        if injection is not None:
+        if injection is None:
+            unaimed += 1
+        else:
             injections.append(injection)
     return Scenario(
         name=f"campaign-{index}",
         base_timeline=timeline,
         injections=injections,
         seed=index,
+        unaimed=unaimed,
     )
 
 
@@ -208,6 +213,7 @@ def run_random_campaign(
         rng = random.Random(child_seed)
         scenario = generate_campaign_scenario(rng, config, shard_catalog, ucas, index)
         timeline = sorted(scenario.base_timeline, key=lambda e: e.timestamp)
+        report.injections_skipped += scenario.unaimed
         for injection in scenario.injections:
             try:
                 timeline = apply_injection(timeline, injection)

@@ -407,7 +407,8 @@ class StepResult(NamedTuple):
 
 def _refuse(state: ExecState, verdicts, subject, requirement, detail, logged) -> None:
     """Refuse a command: its verdict and its refusal log line."""
-    verdicts.append(StepVerdict("refused", subject, requirement, detail))
+    # a StepVerdict without NamedTuple's Python-level __new__, as in handle_event
+    verdicts.append(tuple.__new__(StepVerdict, ("refused", subject, requirement, detail)))
     state.log.append(state.clock, "refusal", "System", logged)
 
 
@@ -540,7 +541,7 @@ class SafetyExecutive:
         setattr(state, flag, True)
         state.ledger.consume(action)
         emitted.append(marker)
-        verdicts.append(StepVerdict("granted", subject))
+        verdicts.append(tuple.__new__(StepVerdict, ("granted", subject, None, "")))
         state.log.append(state.clock, log_kind, "System",
                          logged + (" (safe path)" if safe_path else ""), log_kind)
 
@@ -571,7 +572,9 @@ class SafetyExecutive:
         if state.revalidation_required:
             self._maybe_complete_revalidation(state)
         self._progress(state, emitted, verdicts)
-        return StepResult(emitted, verdicts)
+        # tuple.__new__ builds the same StepResult without NamedTuple's
+        # Python-level __new__; this is the hot path of every workload
+        return tuple.__new__(StepResult, (emitted, verdicts))
 
     # individual event handlers; each logs per the R8 family mapping
 

@@ -23,14 +23,36 @@ search builds one ``Event`` per parent clock and stimulus and applies it at
 every state with that clock; ``handle_event`` never writes to its event, so
 the transitions and witness paths that share one see the same event.
 
-The search keeps one witness record per discovered state, not its path:
-(parent's record index or -1, the event from the parent, key, unsafe).  A
-state is held only until its successors are generated, and the last
-layer's states are keyed and recorded but never held, since nothing
-expands them.  So the search's memory grows with the number of states, not
-with states times depth.  ``_witness_path`` rebuilds a path by walking
-parents, only where one is read: the counterexample and each cross-checked
-witness.
+The abstract key is one fixed-width ``bytes`` (``abstract_key``), exact,
+with no hashing and no bits dropped: two states get equal keys exactly when
+every field below is equal.  ``struct`` packs its fixed-width head,
+little-endian with no padding, in this order: the node's code (16 bits);
+one byte each for posture valid, trajectory valid, arm moving, exposure in
+progress, interruption, fault, awaiting resume, revalidation required,
+compliance mode, stabilization elapsed, assent held and patient not OK;
+one byte per tri-state result (self test, stage, posture, plan,
+adjustments, retake; ``None``/``False``/``True`` as 0/1/2); motion done;
+then 16-bit codes for the session status, current view, acquired views and
+the sorted retake counts.  The ledger's ``held()`` follows the head: one
+byte per pair of its layout, 1 where a confirmation is held.  Codes come
+from one table that gives each distinct value the next integer when first
+seen and never forgets one, so equal values share a code and distinct
+values never do.  A value a field cannot hold raises, and nothing is
+wrapped or truncated: ``struct.error`` for a boolean slot holding 256 or a
+65,537th code, ``KeyError`` for a tri-state holding anything but the
+three.  Ledgers of different lengths give keys of different lengths, which
+never compare equal.
+
+The search keeps one witness record per discovered state, not its path,
+held as columns in discovery order (``_Witnesses``): the parent's record
+index or -1 in an ``array('i')``, the event from the parent, the key
+(``None`` for the record a first-unsafe stop leaves) and the unsafe flag in
+a ``bytearray``.  A state is held only until its successors are generated,
+and the last layer's states are keyed and recorded but never held, since
+nothing expands them.  So the search's memory grows with the number of
+states, not with states times depth.  ``_witness_path`` rebuilds a path by
+walking parents, only where one is read: the counterexample and each
+cross-checked witness.
 
 The unsafe predicate is evaluated independently of the executive's gates:
 a transition fires an exposure when its log holds an entry marked
@@ -55,6 +77,8 @@ records leaves that independence as it was.
 
 from __future__ import annotations
 
+import struct
+from array import array
 from dataclasses import dataclass, field, fields, replace
 
 from .executive import CONFIRM_ACTIONS, NOMINAL_EVENTS, Event, ExecConfig, SafetyExecutive
@@ -87,22 +111,64 @@ def stimuli_for(alphabet) -> list[tuple[str, dict]]:
     return out
 
 
-def abstract_key(state: ExecState, config: ExecConfig) -> tuple:
-    # one bit per pair of the ledger's layout: is a confirmation held
-    ledger_bits = tuple([t is not None for t in state.ledger.received])
-    return (
-        state.current_node, state.posture_valid,
+class _Codes(dict):
+    """Value -> small integer code, assigned in first-seen order.
+
+    One module-level table serves every search in the process.  That is
+    safe because codes never leave the process (no report, trace or file
+    holds a key) and only their equality is read: a value's code stays the
+    same for the life of the table, and distinct values get distinct codes,
+    whichever search saw them first and in whatever order.  Assigning a
+    code is not atomic, so keys are computed by one thread at a time, as
+    every search does."""
+
+    __slots__ = ()
+
+    def __missing__(self, value):
+        code = self[value] = len(self)
+        return code
+
+
+_CODES = _Codes()
+_TRI_STATE = {None: 0, False: 1, True: 2}
+# the key without its ledger bytes; see the module docstring for the fields
+_KEY_HEAD = struct.Struct("<H19B4H")
+
+
+def abstract_key(state: ExecState, config: ExecConfig) -> bytes:
+    """The state's exact abstract key; its layout is in the module docstring."""
+    codes, tri = _CODES, _TRI_STATE
+    retakes = state.retake_count
+    return _KEY_HEAD.pack(
+        codes[state.current_node], state.posture_valid,
         state.trajectory_valid, state.arm_moving, state.exposure_in_progress, state.interruption_active,
         state.fault_active, state.awaiting_resume, state.revalidation_required,
         state.compliance_mode, stabilization_elapsed(state, config),
         state.patient_last_assent is not None, state.patient_not_ok,
-        state.self_test_result, state.stage_result, state.posture_result,
-        state.plan_result, state.adjustments_result, state.retake_result,
-        state.motion_done, state.session_status, state.current_view,
-        state.views_acquired,
-        tuple(sorted(state.retake_count.items())) if state.retake_count else (),
-        ledger_bits,
-    )
+        tri[state.self_test_result], tri[state.stage_result], tri[state.posture_result],
+        tri[state.plan_result], tri[state.adjustments_result], tri[state.retake_result],
+        state.motion_done, codes[state.session_status], codes[state.current_view],
+        codes[state.views_acquired],
+        codes[tuple(sorted(retakes.items())) if retakes else ()],
+    ) + state.ledger.held()
+
+
+class _Witnesses:
+    """One record per discovered state, in discovery order, as columns."""
+
+    __slots__ = ("parents", "events", "keys", "unsafe")
+
+    def __init__(self):
+        self.parents = array("i")  # the parent's record index, or -1
+        self.events: list[Event] = []  # the event from the parent
+        self.keys: list[bytes | None] = []  # None: the first-unsafe stop's record
+        self.unsafe = bytearray()  # any unsafe grant along the path
+
+    def append(self, parent: int, event: Event, key: bytes | None, unsafe: bool) -> None:
+        self.parents.append(parent)
+        self.events.append(event)
+        self.keys.append(key)
+        self.unsafe.append(unsafe)
 
 
 @dataclass
@@ -167,9 +233,7 @@ def brute_force_reachability(
     # frontier entries: (state, index of its witness record or -1 for the
     # initial state, any unsafe grant along its path)
     frontier: list[tuple[ExecState, int, bool] | None] = [(initial, -1, False)]
-    # one record per discovered state, in discovery order:
-    # (parent's record index or -1, event from the parent, key, unsafe)
-    witnesses: list[tuple[int, Event, tuple | None, bool]] = []
+    witnesses = _Witnesses()
     counterexample: list[Event] | None = None
     unsafe_detail = ""
     transitions = 0
@@ -216,7 +280,7 @@ def brute_force_reachability(
                         + ",".join(pre_failed)
                     )
                     if stop_at_first:
-                        witnesses.append((parent, event, None, True))
+                        witnesses.append(parent, event, None, True)
                         stopped = True
                         break
 
@@ -227,9 +291,9 @@ def brute_force_reachability(
                     stopped = True
                     break
                 visited.add(key)
-                witnesses.append((parent, event, key, path_unsafe or unsafe))
+                witnesses.append(parent, event, key, path_unsafe or unsafe)
                 if expand_next:
-                    next_frontier.append((branch, len(witnesses) - 1, path_unsafe or unsafe))
+                    next_frontier.append((branch, len(witnesses.keys) - 1, path_unsafe or unsafe))
             if stopped:
                 break
         frontier = next_frontier
@@ -248,10 +312,11 @@ def brute_force_reachability(
 
 def _witness_path(witnesses, index: int) -> list[Event]:
     """The events from the initial state to witness ``index`` (-1: none)."""
+    parents, events = witnesses.parents, witnesses.events
     path = []
     while index >= 0:
-        index, event, _, _ = witnesses[index]
-        path.append(event)
+        path.append(events[index])
+        index = parents[index]
     path.reverse()
     return path
 
@@ -262,7 +327,7 @@ def _cross_check(model, reach_config, enabled, witnesses, result) -> None:
     One replay executive, not the search's, serves every witness; each
     replay starts from that executive's fresh initial state."""
     executive = SafetyExecutive(model, reach_config, enabled=enabled)
-    for index, (_, _, key, unsafe) in enumerate(witnesses):
+    for index, key in enumerate(witnesses.keys):
         path = _witness_path(witnesses, index)
         trace, final_state = _replay(model, reach_config, path, executive)
         result.cross_checked += 1
@@ -274,6 +339,7 @@ def _cross_check(model, reach_config, enabled, witnesses, result) -> None:
                 )
         verdict = monitor_r24(trace, reach_config)
         monitor_unsafe = verdict.status == VIOLATED
+        unsafe = bool(witnesses.unsafe[index])
         if monitor_unsafe != unsafe:
             result.cross_check_disagreements.append(
                 f"verdict mismatch after {[e.kind for e in path]}: "

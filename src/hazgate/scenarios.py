@@ -214,6 +214,7 @@ class Scenario:
     expected_outcome: str = OUTCOME_SAFE_COMPLETION
     expected_requirement: str | None = None  # ViolationExpected only
     seed: int = 0
+    unaimed: int = 0  # injections a generator drew but found no event to aim at
 
     def compiled_timeline(self) -> list[Event]:
         timeline = _stable_sort(list(self.base_timeline))

@@ -27,7 +27,7 @@ class ConfirmationLedger:
     kept: no reader asks for one.
     """
 
-    __slots__ = ("required", "layout", "staleness_ms", "received",
+    __slots__ = ("required", "layout", "staleness_ms", "received", "_held", "_held_of",
                  "_index", "_by_action", "_by_source")
 
     def __init__(self, required: dict, staleness_ms: int):
@@ -36,6 +36,7 @@ class ConfirmationLedger:
         self.layout = tuple([(a, s) for a in sorted(self.required) for s in self.required[a]])
         self.staleness_ms = staleness_ms
         self.received: tuple[int | None, ...] = (None,) * len(self.layout)
+        self._held, self._held_of = b"", None  # held() and the tuple it was read from
         self._index = {pair: i for i, pair in enumerate(self.layout)}
         self._by_action = {a: tuple([i for i, (b, _) in enumerate(self.layout) if b == a])
                            for a in self.required}
@@ -80,12 +81,27 @@ class ConfirmationLedger:
     def withdraw_source(self, source: str) -> None:
         self._write(self._by_source[source], None)
 
+    def held(self) -> bytes:
+        """One byte per pair of the layout, 1 where a confirmation is held.
+
+        reach's key reads this once per transition, and most transitions
+        leave the record tuple as it was.  So the bytes are kept with the
+        tuple they were read from and read again only when ``received`` is
+        another tuple; a copy shares both until it writes."""
+        received = self.received
+        if self._held_of is not received:
+            self._held = bytes([t is not None for t in received])
+            self._held_of = received
+        return self._held
+
     def copy(self) -> "ConfirmationLedger":
         dup = ConfirmationLedger.__new__(ConfirmationLedger)
         dup.required = self.required  # never mutated after __init__
         dup.layout = self.layout
         dup.staleness_ms = self.staleness_ms
         dup.received = self.received  # immutable: a write replaces it
+        dup._held_of = self._held_of
+        dup._held = self._held
         dup._index = self._index
         dup._by_action = self._by_action
         dup._by_source = self._by_source

@@ -127,9 +127,10 @@ def play(executive: SafetyExecutive, events, close_out: bool = True) -> tuple[Tr
     # bound once per call, never across calls: a caller may rebind either
     # method on its class between runs, as the benchmark's tracer does
     handle, snapshot = executive.handle_event, state.snapshot
+    new_step = tuple.__new__  # a TraceStep without NamedTuple's Python-level __new__
     for event in events:
         emitted, verdicts = handle(state, event)
-        steps.append(TraceStep(event, snapshot(), tuple(emitted), tuple(verdicts)))
+        steps.append(new_step(TraceStep, (event, snapshot(), tuple(emitted), tuple(verdicts))))
     if close_out:
         emitted, verdicts = executive.close_out(state)
         if emitted or verdicts:

@@ -36,12 +36,14 @@ class TestCampaign:
         assert first.to_json() == second.to_json()
 
     @pytest.mark.parametrize("enabled,digest", [
-        (True, "6d07d7b6d1da83a41d2fd12ec382da34b2a0ddac7294224720d723b99d923944"),
-        (False, "76a6458391303fac2f8f9fe4d78b4d1045425c48083452b773db993cd75ef899"),
+        (True, "f3ca1f0a8ae9d91ebd1c8bfd8c2b0a5de3d7cdfadd1daba6491d3141ec230505"),
+        (False, "48c331239d5d352bd6cc1df7df2e0f458b25ac3b27948cd94a2d29aacdccddee"),
     ])
     def test_report_bytes_pinned(self, mammobot, config, enabled, digest):
         """Report bytes for n=300, seed 7, as produced before the monitor bank
-        shared its per-trace facts; a refactor of the monitors must keep them."""
+        shared its per-trace facts; a refactor of the monitors must keep them.
+        Since then only ``injections_skipped`` moved (3 -> 18), when the
+        injections the campaign draws but cannot aim began to count."""
         report = run_random_campaign(mammobot, config, 300, seed=7, executive_enabled=enabled)
         assert hashlib.sha256(report.to_json().encode("utf-8")).hexdigest() == digest
 
@@ -85,3 +87,18 @@ def test_campaign_without_retakes_draws_none(monkeypatch, mammobot, config):
     """A config with no retake allowance is a valid campaign input."""
     assert _retakes_drawn(monkeypatch, mammobot, config) > 0
     assert _retakes_drawn(monkeypatch, mammobot, replace(config, max_retakes_per_view=0)) == 0
+
+
+def test_every_sampled_injection_is_applied_or_skipped(monkeypatch, mammobot, config):
+    """An injection the campaign draws but cannot aim counts as skipped."""
+    sampled = []
+    sample = campaign._sample_injection
+
+    def recording(*args):
+        sampled.append(sample(*args))
+        return sampled[-1]
+
+    monkeypatch.setattr(campaign, "_sample_injection", recording)
+    report = run_random_campaign(mammobot, config, 300, seed=7)
+    assert None in sampled
+    assert report.injections_applied + report.injections_skipped == len(sampled)

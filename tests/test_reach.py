@@ -1,6 +1,8 @@
 import gc
 import hashlib
 import json
+import struct
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -15,7 +17,7 @@ from hazgate.reach import (
     brute_force_reachability,
     stimuli_for,
 )
-from hazgate.session import STATUS_ABANDONED, ExecState
+from hazgate.session import STATUS_ABANDONED, ExecState, stabilization_elapsed
 
 # ExecState slots the abstract key leaves out, each with its reason
 KEY_EXCLUDED = {
@@ -24,6 +26,23 @@ KEY_EXCLUDED = {
     "generic_decisions": "written only by a decide confirmation, which the search never sends",
     "generic_advance": "written only by an advance confirmation, which the search never sends",
 }
+
+
+def oracle_key(state: ExecState, config) -> tuple:
+    """The abstract key's fields as a plain tuple, the reference the packed
+    key must match: equal packed keys exactly when equal tuples."""
+    return (
+        state.current_node, state.posture_valid,
+        state.trajectory_valid, state.arm_moving, state.exposure_in_progress, state.interruption_active,
+        state.fault_active, state.awaiting_resume, state.revalidation_required,
+        state.compliance_mode, stabilization_elapsed(state, config),
+        state.patient_last_assent is not None, state.patient_not_ok,
+        state.self_test_result, state.stage_result, state.posture_result,
+        state.plan_result, state.adjustments_result, state.retake_result,
+        state.motion_done, state.session_status, state.current_view,
+        state.views_acquired, tuple(sorted(state.retake_count.items())),
+        tuple([t is not None for t in state.ledger.received]),
+    )
 
 
 def report_sha256(result) -> str:
@@ -69,17 +88,17 @@ class TestAlphabet:
 
 class TestAbstractKey:
     def test_ledger_bits_follow_each_states_own_ledger(self, mammobot, config):
-        # the key ends with one bit per (action, source) the state's ledger
-        # requires, actions in sorted order
+        # the key ends with one byte per (action, source) the state's ledger
+        # requires, actions in sorted order: 1 when a confirmation is held
         for ledger in (config.ledger_requirements,
                        {"resume": ("Patient",), "exposure": ("Radiographer", "Patient")}):
             executive = SafetyExecutive(mammobot, replace(config, ledger_requirements=ledger))
             state = executive.init_state()
             state.ledger.record("exposure", "Radiographer", 0)
-            expected = tuple(action == "exposure" and source == "Radiographer"
-                             for action in sorted(ledger) for source in ledger[action])
-            assert abstract_key(state, config)[-1] == expected
-            assert abstract_key(state.branch(), config)[-1] == expected
+            expected = bytes([action == "exposure" and source == "Radiographer"
+                              for action in sorted(ledger) for source in ledger[action]])
+            assert abstract_key(state, config)[-len(expected):] == expected
+            assert abstract_key(state.branch(), config)[-len(expected):] == expected
 
     def test_every_slot_is_keyed_or_excluded_with_a_reason(self, mammobot, config):
         # a new ExecState slot must change the key or join KEY_EXCLUDED
@@ -108,6 +127,42 @@ class TestAbstractKey:
             if abstract_key(state, config) == abstract_key(initial, config):
                 unkeyed.append(slot)
         assert unkeyed == []
+
+    @pytest.mark.parametrize("enabled,depth,alphabet", [
+        (True, 8, DEFAULT_ALPHABET), (False, 6, DEFAULT_ALPHABET), (True, 4, EVENT_KINDS),
+    ], ids=["protected-8", "unprotected-6", "every-kind-4"])
+    def test_packed_key_is_exact(self, mammobot, config, monkeypatch, enabled, depth, alphabet):
+        # every state the search keys: two packed keys are equal exactly
+        # when their oracle tuples are
+        key = reach.abstract_key
+        by_oracle, by_packed = {}, {}
+
+        def checking_key(state, key_config):
+            packed = key(state, key_config)
+            oracle = oracle_key(state, key_config)
+            assert by_oracle.setdefault(oracle, packed) == packed, oracle
+            assert by_packed.setdefault(packed, oracle) == oracle, oracle
+            return packed
+
+        monkeypatch.setattr(reach, "abstract_key", checking_key)
+        result = brute_force_reachability(
+            mammobot, config, max_depth=depth, alphabet=alphabet, executive_enabled=enabled,
+            stop_at_first=False, cross_check=False)
+        assert result.complete
+        assert len(by_packed) == len(by_oracle) == result.states_explored
+
+    def test_value_too_wide_for_its_field_raises(self, mammobot, config, monkeypatch):
+        initial = SafetyExecutive(mammobot, config).init_state()
+        for slot, value in (("posture_valid", 256), ("motion_done", -1),
+                            ("compliance_mode", None), ("plan_result", 2)):
+            state = initial.branch()
+            setattr(state, slot, value)
+            with pytest.raises((struct.error, KeyError)):
+                abstract_key(state, config)
+        # a 65,537th code does not fit its 16 bits
+        monkeypatch.setattr(reach, "_CODES", reach._Codes((i, i) for i in range(2**16)))
+        with pytest.raises(struct.error):
+            abstract_key(initial, config)
 
     def test_no_stimulus_writes_the_generic_slots(self):
         actions = {payload.get("action") for kind, payload in stimuli_for(DEFAULT_ALPHABET)}
@@ -250,6 +305,19 @@ class TestProtected:
         monkeypatch.setattr(reach, "_cross_check", counting_cross_check)
         brute_force_reachability(mammobot, config, max_depth=8)
         assert alive[0] <= 3, alive
+
+    def test_search_memory_per_state(self, mammobot, config):
+        # the traced peak of a search per state it found: 526-582 bytes with
+        # tuple keys and tuple witness records, 308-332 packed and in columns
+        # (the first search in a process reads the most)
+        tracemalloc.start()
+        try:
+            result = brute_force_reachability(mammobot, config, max_depth=10, cross_check=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.states_explored == 7522
+        assert peak / result.states_explored <= 420
 
     @pytest.mark.xfail(strict=True, reason=(
         "known defect: the key keeps whether the stabilization window has "
