@@ -185,7 +185,7 @@ class ExecConfig:
         # the ledger names exactly the default's actions, so a misspelt or
         # missing one cannot drop a confirmation the gates would ask for
         actions = cls().ledger_requirements
-        ledger = json_keys(data.get("ledger", actions), "config ledger", tuple(actions))
+        ledger = json_keys(data.get("ledger", dict(actions)), "config ledger", tuple(actions))
         return cls(
             **{name: json_int(data.get(name, getattr(cls, name)), f"config {name}")
                for name in ints},

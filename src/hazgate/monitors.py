@@ -9,26 +9,24 @@ into the trace) or NotApplicable when the trace never exercises it.
 The same monitors run against protected (executive-enabled) and unprotected
 traces, which is what makes the hazard-injection comparisons meaningful.
 
-Facts that several monitors read are derived once per trace by a
-:class:`TraceFacts`, each on first use: the grants (R1, R15, R16, R20, R24)
-and one replay of the confirmation ledger, which yields R20's missing
-sources and the interlock failures at each exposure (R16, R24).
-``evaluate_monitors`` builds one per trace and hands it to every monitor as
-a third argument.  Each monitor still runs alone as
-``monitor_rX(trace, config)`` and then builds its own, deriving only the
-facts it reads.  Nothing is cached on the trace, so a trace extended after a
-run is judged as it stands.
+``_trace_facts`` derives the facts several monitors read once per trace,
+as a ``TraceFacts``: the grants (R1, R15, R16, R20, R24) and one replay of
+the confirmation ledger, which yields R20's missing sources and the
+interlock failures at each exposure (R16, R24).  ``evaluate_monitors``
+hands them to every monitor as a third argument; a monitor run alone as
+``monitor_rX(trace, config)`` derives its own.  Nothing is cached on the
+trace, so a trace extended after a run is judged as it stands.
 
-The log monitors (R21, R23, R25) read what an entry records from its
-``mark`` (``session.LOG_MARKS``), never its ``details``, so ``TraceFacts``
-does not classify the log.  The grants stay on the steps' actuator markers
-plus their own orphan-exposure rule, a view independent of the log: reach's
+The past-time checks read one evaluator, ``_since`` (past-time "not stop S
+start", after Havelund & Rosu, TACAS 2002): R21 (the latest stability
+reference), R23 (a trigger not yet revalidated), R25 (an emergency not yet
+resolved) and R20's ``_emergency_context`` (an abandonment, or a fault or
+stop with no strictly later resume), which leaves such a release to R25.
+They read what a log entry records from its ``mark`` (``session.LOG_MARKS``),
+never its ``details``.  The grants stay on the steps' actuator markers plus
+their own orphan-exposure rule, a view independent of the log: reach's
 cross-check compares its log-mark view of firings with R24, which is built
 on the grants, and grants read from the marks would compare a rule with itself.
-
-R20 leaves a release taken in emergency context (an abandonment, or a fault
-or stop with no resume after it) to R25; ``_emergency_context`` decides
-that in one pass over the log.
 """
 
 from __future__ import annotations
@@ -107,43 +105,6 @@ def _grants(trace):
     return out
 
 
-_LEDGER_EVENT_KINDS = frozenset(("commandConfirm", "assent", "assentWithdrawn"))
-
-
-class _ConfirmationReplay:
-    """Monitor-side reconstruction of the confirmation ledger from raw events."""
-
-    def __init__(self, config: ExecConfig):
-        self.required = config.ledger_requirements
-        self.staleness = config.confirmation_staleness_ms
-        self.received: dict[str, dict[str, int]] = {k: {} for k in self.required}
-
-    def feed(self, event) -> None:
-        """Apply one event whose kind is in ``_LEDGER_EVENT_KINDS``."""
-        if event.kind == "commandConfirm":
-            action = event.payload.get("action")
-            if action in self.required and event.source in self.required[action]:
-                self.received[action][event.source] = event.timestamp
-        elif event.kind == "assent":
-            for action, sources in self.required.items():
-                if "Patient" in sources:
-                    self.received[action]["Patient"] = event.timestamp
-        elif event.kind == "assentWithdrawn":
-            for confirmations in self.received.values():
-                confirmations.pop("Patient", None)
-
-    def fresh(self, action: str, source: str, now: int) -> bool:
-        t = self.received.get(action, {}).get(source)
-        return t is not None and now - t <= self.staleness
-
-    def missing(self, action: str, now: int) -> list[str]:
-        return [s for s in self.required.get(action, ()) if not self.fresh(action, s, now)]
-
-    def consume(self, action: str) -> None:
-        if action in self.received:
-            self.received[action] = {}
-
-
 _GRANT_LEDGER_ACTION = {"motion": "motionStart", "exposure": "exposure", "release": "release"}
 
 
@@ -176,75 +137,75 @@ def exposure_condition_failures(posture_valid, stable_since, arm_moving, patient
     return failed
 
 
-def _replay_ledger(trace, config: ExecConfig, grants) -> tuple[list, list]:
-    """One confirmation-ledger replay over the trace's grants.
+class TraceFacts(NamedTuple):
+    """Facts several monitors read from one trace, built by ``_trace_facts``."""
 
-    Returns R20's checks ``(step, t, action, missing sources)`` and the
-    interlock failures at each exposure ``(step, t, failed conditions)``.
-    A release in emergency context is left to the safe-posture monitor and
-    does not consume the ledger; the interlock reads only the exposure
-    entry, so that choice cannot change an exposure's failures.  Events
-    after the last ledger grant cannot change a check and are not fed.
+    grants: list  # ``_grants`` of the trace
+    checks: list  # R20's confirmation checks (step, t, action, missing sources)
+    exposures: list  # the interlock failures at each exposure (step, t, failed conditions)
+
+
+def _trace_facts(trace, config: ExecConfig) -> TraceFacts:
+    """The trace's grants and one confirmation-ledger replay over them.
+
+    ``received`` holds, per ledger action a grant consumes, the time of each
+    required source's latest confirmation; an action the ledger does not
+    name requires no source.  A release in emergency context is left to the
+    safe-posture monitor and does not consume the ledger; the interlock
+    reads only the exposure entry, so that choice cannot change an
+    exposure's failures.  Events after the last ledger grant cannot change a
+    check and are not fed.
     """
+    grants = _grants(trace)
+    required = {action: config.ledger_requirements.get(action, ())
+                for action in _GRANT_LEDGER_ACTION.values()}
+    received = {action: {} for action in required}
     by_step = {i: (t, k) for i, t, k in grants}  # the last grant of a step wins
-    ledger_grants = [(i, t, _GRANT_LEDGER_ACTION[k]) for i, (t, k) in by_step.items()
-                     if k in _GRANT_LEDGER_ACTION]
-    replay = _ConfirmationReplay(config)
     steps = trace.steps
     fed = 0
     checks = []
     exposures = []
-    for i, t, action in ledger_grants:
+    for i, (t, kind) in by_step.items():
+        action = _GRANT_LEDGER_ACTION.get(kind)
+        if action is None:
+            continue
         for step in steps[fed:i + 1]:
             event = step.event
-            if event is not None and event.kind in _LEDGER_EVENT_KINDS:
-                replay.feed(event)
+            if event is None:
+                continue
+            if event.kind == "commandConfirm":
+                confirmed = event.payload.get("action")
+                if event.source in required.get(confirmed, ()):
+                    received[confirmed][event.source] = event.timestamp
+            elif event.kind == "assent":
+                for confirmed, sources in required.items():
+                    if "Patient" in sources:
+                        received[confirmed]["Patient"] = event.timestamp
+            elif event.kind == "assentWithdrawn":
+                for held in received.values():
+                    held.pop("Patient", None)
         fed = i + 1
+        held = received[action]
         if action == "exposure":
             snap = steps[i].snapshot
-            received = replay.received.get("exposure", {})
             exposures.append((i, t, exposure_condition_failures(
                 snap[SNAP_POSTURE_VALID], snap[SNAP_STABLE_SINCE], snap[SNAP_ARM_MOVING],
-                received.get("Patient"), received.get("Radiographer"),
+                held.get("Patient"), held.get("Radiographer"),
                 snap[SNAP_FAULT], snap[SNAP_INTERRUPTION], snap[SNAP_REVALIDATION],
                 t, config,
             )))
         elif action == "release" and _emergency_context(trace, t):
             continue
-        checks.append((i, t, action, replay.missing(action, t)))
-        replay.consume(action)
-    return checks, exposures
-
-
-class TraceFacts:
-    """Facts several monitors read from one trace, each derived on first use."""
-
-    __slots__ = ("trace", "config", "_grants", "_ledger")
-
-    def __init__(self, trace, config: ExecConfig):
-        self.trace = trace
-        self.config = config
-        self._grants = self._ledger = None
-
-    @property
-    def grants(self) -> list:
-        """``_grants`` of the trace."""
-        if self._grants is None:
-            self._grants = _grants(self.trace)
-        return self._grants
-
-    @property
-    def ledger(self) -> tuple[list, list]:
-        """R20's confirmation checks and the interlock failures at each
-        exposure, from one ledger replay (see ``_replay_ledger``)."""
-        if self._ledger is None:
-            self._ledger = _replay_ledger(self.trace, self.config, self.grants)
-        return self._ledger
+        checks.append((i, t, action, [
+            source for source in required[action]
+            if source not in held or t - held[source] > config.confirmation_staleness_ms]))
+        held.clear()
+    return TraceFacts(grants, checks, exposures)
 
 
 def monitor_r1(trace, config: ExecConfig, facts: TraceFacts | None = None) -> MonitorVerdict:
     """Command response within budget once gates pass (grants are immediate)."""
-    facts = facts or TraceFacts(trace, config)
+    facts = facts or _trace_facts(trace, config)
     violations = []
     grants = [g for g in facts.grants if g[2] in ("motion", "exposure", "release")]
     for index, t, kind in grants:
@@ -314,7 +275,7 @@ def monitor_r14(trace, config: ExecConfig, facts: TraceFacts | None = None) -> M
 
 def monitor_r15(trace, config: ExecConfig, facts: TraceFacts | None = None) -> MonitorVerdict:
     """Motion only with validated posture and trajectory."""
-    facts = facts or TraceFacts(trace, config)
+    facts = facts or _trace_facts(trace, config)
     violations = []
     grants = [g for g in facts.grants if g[2] == "motion"]
     for index, t, _ in grants:
@@ -332,8 +293,7 @@ def monitor_r15(trace, config: ExecConfig, facts: TraceFacts | None = None) -> M
 def _exposure_monitor(facts, requirement, conditions):
     exposures = []
     violations = []
-    _, exposure_checks = facts.ledger
-    for i, t, failures in exposure_checks:
+    for i, t, failures in facts.exposures:
         exposures.append(i)
         failed = [c for c in failures if c in conditions]
         if failed:
@@ -343,7 +303,7 @@ def _exposure_monitor(facts, requirement, conditions):
 
 def monitor_r24(trace, config: ExecConfig, facts: TraceFacts | None = None) -> MonitorVerdict:
     """Full eight-condition exposure interlock at every firing."""
-    return _exposure_monitor(facts or TraceFacts(trace, config), "R24", (
+    return _exposure_monitor(facts or _trace_facts(trace, config), "R24", (
         "postureValid", "stabilizationElapsed", "armImmobility",
         "patientAssentFresh", "radiographerConfirmFresh",
         "noFault", "noInterruption", "noRevalidationPending",
@@ -352,31 +312,51 @@ def monitor_r24(trace, config: ExecConfig, facts: TraceFacts | None = None) -> M
 
 def monitor_r16(trace, config: ExecConfig, facts: TraceFacts | None = None) -> MonitorVerdict:
     """Posture stability, arm immobility and patient readiness at exposure."""
-    return _exposure_monitor(facts or TraceFacts(trace, config), "R16", (
+    return _exposure_monitor(facts or _trace_facts(trace, config), "R16", (
         "postureValid", "stabilizationElapsed", "armImmobility", "patientAssentFresh",
     ))
 
 
+def _since(entries, start, stop) -> list:
+    """Past-time ``not stop S start``, with its witness, at each entry.
+
+    Element k is the latest of ``entries[:k]`` that ``start`` accepted with
+    no later entry that ``stop`` accepted, or None; the list has one element
+    more than ``entries``, the state after the last.  ``stop(entry,
+    witness)`` sees the witness it would end and is asked only while one is
+    held; an entry ``start`` accepts becomes the witness and is not asked.
+    A ``stop`` of None never holds, which leaves the latest start.
+    """
+    witness = None
+    out = [None]
+    append = out.append
+    for entry in entries:
+        if start(entry):
+            witness = entry
+        elif witness is not None and stop is not None and stop(entry, witness):
+            witness = None
+        append(witness)
+    return out
+
+
 def _emergency_context(trace, t) -> bool:
     """True when, by time t, the session was abandoned or its latest fault or
-    stop has no resume after it; one pass over the log, which is in time order.
+    stop has no strictly later resume; the log is in time order.
 
     The safe-posture transition that emergencies mandate is system-initiated,
     so the multi-source confirmation rule does not govern it.  Any later
     resume ends a fault here, even one before the fault was cleared: that is
     the known R20 false positive (ROADMAP item 5), whose fix is one more
-    condition on the resume below."""
-    since = None  # time of the latest fault or stop not yet resumed
+    condition on the resume ``stop`` below."""
+    before = []
     for e in trace.log:
         if e.t > t:
             break
         if e.kind == "abandon":
             return True
-        if e.kind in ("fault", "interruption"):
-            since = e.t
-        elif e.kind == "resume" and since is not None and e.t > since:
-            since = None
-    return since is not None
+        before.append(e)
+    return _since(before, lambda e: e.kind in {"fault", "interruption"},
+                  lambda e, fault: e.kind == "resume" and e.t > fault.t)[-1] is not None
 
 
 def monitor_r20(trace, config: ExecConfig, facts: TraceFacts | None = None) -> MonitorVerdict:
@@ -386,18 +366,14 @@ def monitor_r20(trace, config: ExecConfig, facts: TraceFacts | None = None) -> M
     unresumed stop) are the safe-posture transition and are checked by the
     safe-posture monitor instead.
     """
-    facts = facts or TraceFacts(trace, config)
+    facts = facts or _trace_facts(trace, config)
     checked = []
     violations = []
-    confirmation_checks, _ = facts.ledger
-    for i, t, action, missing in confirmation_checks:
+    for i, t, action, missing in facts.checks:
         checked.append(i)
         if missing:
             violations.append((i, f"{action} at {t} without fresh {','.join(missing)}"))
     return _verdict("R20", violations, checked, "no safety-critical grants")
-
-
-_STABILITY_REFERENCE_KINDS = frozenset(("postureChange", "interruption", "fault"))
 
 
 def monitor_r21(trace, config: ExecConfig, facts: TraceFacts | None = None) -> MonitorVerdict:
@@ -408,38 +384,34 @@ def monitor_r21(trace, config: ExecConfig, facts: TraceFacts | None = None) -> M
     """
     violations = []
     checked = []
-    last_ref = None
+    references = _since(
+        trace.log, lambda e: e.kind in {"postureChange", "interruption", "fault"}
+        or e.mark == "motionComplete", None)
     for i, entry in enumerate(trace.log):
-        if entry.mark in ("plan", "exposure"):
+        if entry.mark in {"plan", "exposure"}:
             checked.append(i)
-            if last_ref is None:
+            ref = references[i]
+            if ref is None:
                 violations.append((i, f"{entry.mark} at {entry.t} before any stability reference"))
-            elif entry.t - last_ref < config.stabilization_window_ms:
+            elif entry.t - ref.t < config.stabilization_window_ms:
                 violations.append(
-                    (i, f"{entry.mark} at {entry.t} only {entry.t - last_ref} ms after last posture reference")
+                    (i, f"{entry.mark} at {entry.t} only {entry.t - ref.t} ms after last posture reference")
                 )
-        if entry.kind in _STABILITY_REFERENCE_KINDS or entry.mark == "motionComplete":
-            last_ref = entry.t
     return _verdict("R21", violations, checked, "no plan/exposure grants")
 
 
 def monitor_r23(trace, config: ExecConfig, facts: TraceFacts | None = None) -> MonitorVerdict:
     """Revalidation between any interruption/fault/movement and the next grant."""
-    violations = []
-    pending_trigger = None
-    saw_trigger = False
-    for i, entry in enumerate(trace.log):
-        if entry.mark in ("motion", "exposure") and pending_trigger is not None:
-            violations.append(
-                (i, f"{entry.mark} at {entry.t} after trigger at {pending_trigger} without revalidation")
-            )
-        if entry.kind in ("interruption", "fault") or entry.mark == "movementDetected":
-            pending_trigger = entry.t
-            saw_trigger = True
-        elif entry.kind == "revalidation":
-            pending_trigger = None
-    if not saw_trigger:
+    triggers = _since(
+        trace.log, lambda e: e.kind in {"interruption", "fault"} or e.mark == "movementDetected",
+        lambda e, trigger: e.kind == "revalidation")
+    if not any(triggers):
         return MonitorVerdict("R23", NOT_APPLICABLE, None, "no interruption/fault/movement")
+    violations = [
+        (i, f"{entry.mark} at {entry.t} after trigger at {triggers[i].t} without revalidation")
+        for i, entry in enumerate(trace.log)
+        if entry.mark in {"motion", "exposure"} and triggers[i] is not None
+    ]
     return _verdict("R23", violations, [0])
 
 
@@ -448,35 +420,27 @@ def monitor_r25(trace, config: ExecConfig, facts: TraceFacts | None = None) -> M
 
     After such a trigger the system must reach the compliant safe posture
     (a release entry) before any further motion or exposure grant; a resume
-    clears a recoverable stop or fault instead.  A session may not end with
-    a trigger still pending and no safe posture reached.
+    clears a recoverable stop or fault instead, never an abandonment.  A
+    continued operation ends the trigger too, so each is reported once.  A
+    session may not end with a trigger still pending and no safe posture
+    reached.
     """
-    violations = []
-    pending = None  # (t, kind) of the unresolved emergency trigger
-    applicable = False
-    for i, entry in enumerate(trace.log):
-        if entry.kind in ("abandon", "fault", "interruption"):
-            pending = (entry.t, entry.kind)
-            applicable = True
-        elif entry.kind == "resume" and pending is not None and pending[1] != "abandon":
-            pending = None
-        elif entry.mark == "release":
-            pending = None
-        elif pending is not None and entry.mark in ("motion", "exposure"):
-            violations.append(
-                (i, f"{entry.mark} at {entry.t} after {pending[1]} at "
-                    f"{pending[0]} without safe-posture transition")
-            )
-            pending = None  # report each continued operation once
-    if pending is not None:
-        final = trace.final_snapshot
-        if not final[SNAP_COMPLIANCE] or final[SNAP_ARM_MOVING]:
-            violations.append(
-                (len(trace.steps) - 1,
-                 f"{pending[1]} at {pending[0]} but session ends without safe posture")
-            )
-    if not applicable:
+    pending = _since(
+        trace.log, lambda e: e.kind in {"abandon", "fault", "interruption"},
+        lambda e, trigger: e.mark in {"release", "motion", "exposure"}
+        or e.kind == "resume" and trigger.kind != "abandon")
+    if not any(pending):
         return MonitorVerdict("R25", NOT_APPLICABLE, None, "no fault/abandon/stop")
+    violations = [
+        (i, f"{entry.mark} at {entry.t} after {pending[i].kind} at {pending[i].t} "
+            "without safe-posture transition")
+        for i, entry in enumerate(trace.log)
+        if entry.mark in {"motion", "exposure"} and pending[i] is not None
+    ]
+    final = trace.final_snapshot
+    if pending[-1] is not None and (not final[SNAP_COMPLIANCE] or final[SNAP_ARM_MOVING]):
+        violations.append((len(trace.steps) - 1, f"{pending[-1].kind} at {pending[-1].t} "
+                                                 "but session ends without safe posture"))
     return _verdict("R25", violations, [0])
 
 
@@ -509,5 +473,5 @@ MONITORED_REQUIREMENTS = tuple(MONITORS)
 
 def evaluate_monitors(trace, config: ExecConfig, requirements=None) -> list[MonitorVerdict]:
     selected = MONITORED_REQUIREMENTS if requirements is None else requirements
-    facts = TraceFacts(trace, config)
+    facts = _trace_facts(trace, config)
     return [MONITORS[r](trace, config, facts) for r in selected if r in MONITORS]

@@ -14,7 +14,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .executive import _BOOLEAN_PAYLOAD_FIELDS, Event, ExecConfig
+from .executive import _BOOLEAN_PAYLOAD_FIELDS, EVENT_KINDS, Event, ExecConfig
 from .jsoncheck import json_field, json_int, json_keys, json_list, json_text, json_version
 from .monitors import MONITORED_REQUIREMENTS
 
@@ -84,10 +84,17 @@ class Selector:
     def from_json_dict(cls, data: dict) -> "Selector":
         json_keys(data, "selector", ("kind", "ordinal", "t_min", "t_max", "action"))
         kind = json_field(data, "kind", "selector")
+        if kind not in EVENT_KINDS:
+            raise ValueError(f"selector kind must be one of {', '.join(EVENT_KINDS)}, "
+                             f"got {kind!r}")
         bounds = {key: data.get(key) for key in ("ordinal", "t_min", "t_max")}
         for key, value in bounds.items():
             if value is not None:
                 json_int(value, f"selector {key}")
+        if bounds["ordinal"] == 0:
+            raise ValueError("selector ordinal counts from 1, got 0")
+        if data.get("action") is not None:
+            json_text(data["action"], "selector action")
         return cls(kind=kind, **bounds, action=data.get("action"))
 
 
@@ -126,7 +133,8 @@ class Injection:
         return cls(
             target=Selector.from_json_dict(json_field(data, "target", "injection")),
             transform=json_field(data, "transform", "injection"),
-            source_ref=json_field(data, "source_ref", "injection"),
+            source_ref=json_text(json_field(data, "source_ref", "injection"),
+                                 "injection source_ref"),
             delta_ms=json_int(data.get("delta_ms", 0), "injection delta_ms"),
             event=Event.from_json_dict(data["event"]) if data.get("event") else None,
             payload_field=data.get("payload_field"),

@@ -140,6 +140,12 @@ class TestReachCommand:
         assert "unsafe exposure reachable: False" in out
         assert out.endswith(" sequences, agree\n")
 
+    def test_config_without_a_ledger_exits_zero(self, tmp_path, capsys):
+        partial = tmp_path / "config.json"
+        partial.write_text(json.dumps({"stabilization_window_ms": 10}))
+        assert main(["reach", MODEL, str(partial), "--depth", "4"]) == 0
+        assert "unsafe exposure reachable: False" in capsys.readouterr().out
+
     def test_disagreements_are_printed(self, tmp_path, capsys, monkeypatch):
         # a branch that shares its parent's ledger, as in
         # test_reach.py::test_cross_check_catches_a_branch_sharing_its_ledger
@@ -194,6 +200,12 @@ def _json_edit(mutate):
         return json.dumps(data)
     return rewrite
 
+
+# inserts an exposure request with no anchor in the timeline
+_SPURIOUS_REQUEST = {"target": {"kind": "exposureRequest"}, "transform": "SpuriousInsert",
+                     "source_ref": "shard:Capture X-ray/Commission",
+                     "event": {"t": 5900, "source": "Radiographer", "kind": "exposureRequest"}}
+_SELECTOR_KIND = "selector kind must be one of commandConfirm, voiceStop, "
 
 # negates the self-test's "ready" field
 _CORRUPT_SELF_TEST = {"target": {"kind": "commandConfirm", "ordinal": 1},
@@ -257,13 +269,29 @@ class TestMalformedInputs:
          "base_timeline[1]: event payload identified must be true or false, got None"),
         (lambda d: d.update(injections=[dict(_CORRUPT_SELF_TEST, mutation="outOfRange")]),
          "outOfRange cannot corrupt boolean payload field 'ready': it must stay true or false"),
+        (lambda d: d["injections"][0].update(source_ref=5),
+         "injections[0]: injection source_ref must be text, got 5"),
+        (lambda d: d["injections"][0].update(source_ref=None),
+         "injections[0]: injection source_ref must be text, got None"),
+        (lambda d: d.update(injections=[dict(_SPURIOUS_REQUEST, target={"kind": 5})]),
+         _SELECTOR_KIND),
+        (lambda d: d.update(injections=[dict(_SPURIOUS_REQUEST, target={"kind": "bogus"})]),
+         "tick, got 'bogus'"),
+        (lambda d: d["injections"][0]["target"].update(kind="bogus"), _SELECTOR_KIND),
+        (lambda d: d.update(injections=[dict(_SPURIOUS_REQUEST, target={
+            "kind": "exposureRequest", "action": ["x"]})]),
+         "injections[0]: selector action must be text, got ['x']"),
+        (lambda d: d["injections"][0]["target"].update(ordinal=0),
+         "injections[0]: selector ordinal counts from 1, got 0"),
     ], ids=["no-name", "text-t", "bool-t", "misspelt-injections", "misspelt-payload",
             "foreign-version", "list-action", "list-guard", "object-view", "list-detail",
             "object-detail", "negated-text", "list-payload-field", "zero-view",
             "list-requirement",
             "unknown-requirement", "number-requirement", "null-requirement",
             "requirement-without-violation", "text-valid", "number-ready", "null-identified",
-            "out-of-range-ready"])
+            "out-of-range-ready", "number-source-ref", "null-source-ref",
+            "spurious-number-kind", "spurious-unknown-kind", "unknown-kind", "spurious-list-action",
+            "zero-ordinal"])
     def test_malformed_scenario(self, tmp_path, capsys, mutate, reason):
         bad = tmp_path / "scenario.json"
         bad.write_text(json.dumps(_mutated(self.SCENARIO, mutate)))

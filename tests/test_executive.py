@@ -43,16 +43,6 @@ edge work -> end
 """
 
 
-@pytest.fixture(scope="module")
-def mammobot():
-    return load_model(data_path("mammobot.proc"))
-
-
-@pytest.fixture(scope="module")
-def config():
-    return ExecConfig.load(data_path("exec_config.json"))
-
-
 def fresh(mammobot, config, enabled=True):
     return init_executive(mammobot, config, enabled=enabled)
 
@@ -132,6 +122,12 @@ class TestConfigJson:
         shipped = json.loads(data_path("exec_config.json").read_text(encoding="utf-8"))
         assert config.to_json_dict() == shipped
         assert ExecConfig.from_json_dict(config.to_json_dict()) == config
+
+    def test_every_key_has_a_default(self):
+        """Without a "ledger" key the default ledger applies, like every other key."""
+        assert ExecConfig.from_json_dict({}) == ExecConfig()
+        assert ExecConfig.from_json_dict({"stabilization_window_ms": 10}) == ExecConfig(
+            stabilization_window_ms=10)
 
     def test_rejects_a_view_listed_twice(self, config):
         """A repeated view would be acquired twice: three exposures for two views."""

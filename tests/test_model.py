@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gen import break_reachability, random_valid_model
-from hazgate.datafiles import data_path
 from hazgate.model import (
     KIND_ACTION,
     Edge,
@@ -16,7 +15,6 @@ from hazgate.model import (
     Node,
     ParseError,
     ProcessModel,
-    load_model,
     parse_model,
     serialize_model,
     validate_model,
@@ -43,11 +41,6 @@ CANONICAL_GUARDS = [
     "retakeNeeded",
     "processDone",
 ]
-
-
-@pytest.fixture(scope="module")
-def mammobot():
-    return load_model(data_path("mammobot.proc"))
 
 
 class TestCanonicalModel:

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import inspect
 import random
 
@@ -8,7 +9,6 @@ from hazgate import monitors, reach
 from hazgate.acceptance import _random_timeline
 from hazgate.datafiles import data_path
 from hazgate.executive import ExecConfig, Event
-from hazgate.model import load_model
 from hazgate.monitors import (
     MONITORED_REQUIREMENTS,
     MONITORS,
@@ -21,16 +21,6 @@ from hazgate.scenarios import Scenario, nominal_timeline
 from hazgate.session import LOG_MARKS, LogEntry
 from hazgate.simulate import TraceStep, run_events
 from hazgate.stpa import load_requirements
-
-
-@pytest.fixture(scope="module")
-def mammobot():
-    return load_model(data_path("mammobot.proc"))
-
-
-@pytest.fixture(scope="module")
-def config():
-    return ExecConfig.load(data_path("exec_config.json"))
 
 
 def verdict_map(trace, config):
@@ -245,6 +235,106 @@ class TestSharedFacts:
         for i in range(200):
             trace = run_events(mammobot, config, _random_timeline(rng), enabled=i % 2 == 0)
             self._assert_bank_equals_alone(trace, config)
+
+
+class TestPartialLedger:
+    def test_ledger_naming_only_some_actions(self, mammobot):
+        """An action the ledger does not name requires no source; the
+        interlock still needs the Radiographer's exposure confirmation."""
+        config = ExecConfig(ledger_requirements={"exposure": ["Patient"]})
+        trace = run_events(mammobot, config, nominal_timeline(config), enabled=False)
+        verdicts = verdict_map(trace, config)
+        assert verdicts["R20"].status == SATISFIED
+        assert verdicts["R24"].status == VIOLATED
+        assert "radiographerConfirmFresh" in verdicts["R24"].explanation
+
+
+def _stops_on_resume(entry, witness):
+    return entry == "resume"
+
+
+class TestSince:
+    """``monitors._since``: past-time "not stop S start" with its witness."""
+
+    def test_new_start_replaces_the_witness(self):
+        assert monitors._since(["a", "b", "x"], lambda e: e in ("a", "b"), _stops_on_resume) == [
+            None, "a", "b", "b"]
+
+    def test_stop_sees_the_witness_it_would_end(self):
+        asked = []
+
+        def stop(entry, witness):
+            asked.append((entry, witness))
+            return entry == "resume" and witness != "abandon"
+
+        entries = ["x", "abandon", "resume", "fault", "x", "resume", "resume"]
+        assert monitors._since(entries, lambda e: e in ("abandon", "fault"), stop) == [
+            None, None, "abandon", "abandon", "fault", "fault", None, None]
+        # asked only while a witness is held, and never for a start
+        assert asked == [("resume", "abandon"), ("x", "fault"), ("resume", "fault")]
+
+    def test_a_none_stop_never_holds(self):
+        assert monitors._since(["a", "resume", "x"], lambda e: e == "a", None) == [
+            None, "a", "a", "a"]
+
+    @pytest.mark.parametrize("entries,last", [
+        ([], None), (["fault"], "fault"), (["fault", "resume"], None),
+        (["fault", "resume", "fault", "x"], "fault"),
+    ], ids=["empty", "started", "stopped", "restarted"])
+    def test_last_element_is_the_state_after_the_sequence(self, entries, last):
+        out = monitors._since(entries, lambda e: e == "fault", _stops_on_resume)
+        assert len(out) == len(entries) + 1
+        assert out[-1] == last
+
+
+def _log(*entries):
+    """Log entries from (t, kind) or (t, kind, mark)."""
+    return [LogEntry(t, kind, "System", "", *mark) for t, kind, *mark in entries]
+
+
+class TestPastTimeEdges:
+    """``_emergency_context`` and R25 on hand-built logs, including orderings
+    that no generated input reaches."""
+
+    @pytest.mark.parametrize("entries,t,expected", [
+        ([(100, "fault"), (100, "resume")], 100, True),  # a resume must come strictly later
+        ([(100, "interruption"), (200, "resume")], 200, False),
+        ([(100, "fault"), (200, "resume")], 150, True),  # entries after t are not read
+        ([(50, "abandon"), (100, "fault"), (200, "resume")], 300, True),
+        ([(100, "fault"), (300, "tick"), (200, "resume")], 250, True),  # reads up to t only
+    ], ids=["same-ms-resume", "resumed", "resume-after-t", "abandoned-then-resumed",
+            "out-of-order-log"])
+    def test_emergency_context(self, mammobot, config, entries, t, expected):
+        trace = run_events(mammobot, config, [], enabled=True)
+        trace.log = _log(*entries)
+        assert monitors._emergency_context(trace, t) is expected
+
+    def test_resume_does_not_end_an_abandonment(self, mammobot, config):
+        trace = run_events(mammobot, config, nominal_timeline(config), enabled=True)
+        trace.log = _log((100, "abandon"), (200, "resume"), (300, "motion", "motion"))
+        verdict = verdict_map(trace, config)["R25"]
+        assert verdict.status == VIOLATED
+        assert verdict.explanation == (
+            "motion at 300 after abandon at 100 without safe-posture transition")
+
+
+class TestVerdictsPinned:
+    def test_verdicts_pinned(self, mammobot, config):
+        """Every verdict's status, witness and explanation over 1,000 random
+        timelines and the shipped scenarios, each in both modes, as the bank
+        gave them before its past-time checks shared ``_since``."""
+        rng = random.Random(1)
+        timelines = [_random_timeline(rng) for _ in range(1000)]
+        timelines += [Scenario.load(data_path("scenarios", f"{name}.json")).compiled_timeline()
+                      for name in TestSharedFacts.SHIPPED]
+        digest = hashlib.sha256()
+        for timeline in timelines:
+            for enabled in (True, False):
+                trace = run_events(mammobot, config, timeline, enabled)
+                for v in evaluate_monitors(trace, config):
+                    digest.update(repr((v.status, v.witness, v.explanation)).encode())
+        assert digest.hexdigest() == (
+            "17aa728f42f9659b4cbdc67c8dfbfb3d7e8ab21f9139a40fe0f3ef27324caeeb")
 
 
 def _constant_strings(node):

@@ -8,9 +8,7 @@ from dataclasses import replace
 import pytest
 
 from hazgate import reach
-from hazgate.datafiles import data_path
-from hazgate.executive import EVENT_KINDS, ExecConfig, SafetyExecutive
-from hazgate.model import load_model
+from hazgate.executive import EVENT_KINDS, SafetyExecutive
 from hazgate.reach import (
     DEFAULT_ALPHABET,
     abstract_key,
@@ -50,16 +48,6 @@ def report_sha256(result) -> str:
     orders them."""
     return hashlib.sha256(
         json.dumps(result.to_json_dict(), sort_keys=True).encode("utf-8")).hexdigest()
-
-
-@pytest.fixture(scope="module")
-def mammobot():
-    return load_model(data_path("mammobot.proc"))
-
-
-@pytest.fixture(scope="module")
-def config():
-    return ExecConfig.load(data_path("exec_config.json"))
 
 
 class TestAlphabet:

@@ -3,7 +3,6 @@ import pytest
 from hazgate.campaign import run_random_campaign
 from hazgate.datafiles import data_path
 from hazgate.executive import ExecConfig
-from hazgate.model import load_model
 from hazgate.reporting import (
     build_campaign_bundle,
     build_shard_bundle,
@@ -13,16 +12,6 @@ from hazgate.reporting import (
 )
 from hazgate.shard import canonical_rules, load_shard_catalog
 from hazgate.stpa import load_canonical_stpa, trace_to_requirements
-
-
-@pytest.fixture(scope="module")
-def mammobot():
-    return load_model(data_path("mammobot.proc"))
-
-
-@pytest.fixture(scope="module")
-def config():
-    return ExecConfig.load(data_path("exec_config.json"))
 
 
 @pytest.fixture(scope="module")

@@ -19,11 +19,6 @@ from hazgate.scenarios import (
 )
 
 
-@pytest.fixture(scope="module")
-def config():
-    return ExecConfig.load(data_path("exec_config.json"))
-
-
 @pytest.fixture()
 def timeline(config):
     return nominal_timeline(config)

@@ -1,7 +1,7 @@
 import pytest
 
 from hazgate.datafiles import data_path
-from hazgate.model import load_model, parse_model
+from hazgate.model import parse_model
 from hazgate.shard import (
     GUIDEWORD_DEFINITIONS,
     GUIDEWORDS,
@@ -23,11 +23,6 @@ action work "Do the work" actor=A
 edge start -> work
 edge work -> end
 """
-
-
-@pytest.fixture(scope="module")
-def mammobot():
-    return load_model(data_path("mammobot.proc"))
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,6 @@ from hazgate.datafiles import data_path
 from hazgate.executive import (
     EVENT_KINDS, Event, ExecConfig, SafetyExecutive, StepVerdict, init_executive,
 )
-from hazgate.model import load_model
 from hazgate.scenarios import Scenario, nominal_timeline
 from hazgate.session import SOURCES, LogEntry, log_jsonl
 from hazgate.simulate import (
@@ -24,16 +23,6 @@ DESIGNATED = {
     "uca28.json": "R24",
     "uca30.json": "R14",
 }
-
-
-@pytest.fixture(scope="module")
-def mammobot():
-    return load_model(data_path("mammobot.proc"))
-
-
-@pytest.fixture(scope="module")
-def config():
-    return ExecConfig.load(data_path("exec_config.json"))
 
 
 class TestNominalScenario:
