@@ -32,6 +32,7 @@ from .scenarios import (
     InjectionError,
     Scenario,
     Selector,
+    TRANSFORM_FIELDS,
     TRANSFORM_FOR_GUIDEWORD,
     apply_injection,
     nominal_timeline,
@@ -96,11 +97,8 @@ class CampaignReport:
             "n": self.n,
             "seed": self.seed,
             "executive_enabled": self.executive_enabled,
-            "outcomes": {k: self.outcomes[k] for k in sorted(self.outcomes)},
-            "verdict_counts": {
-                r: {s: c for s, c in sorted(self.verdict_counts[r].items())}
-                for r in sorted(self.verdict_counts)
-            },
+            "outcomes": self.outcomes,  # to_json sorts the keys
+            "verdict_counts": self.verdict_counts,
             "violations": [
                 {"scenario": i, "name": n, "requirement": r, "witness": w}
                 for i, n, r, w in self.violations
@@ -120,15 +118,13 @@ def _sample_injection(rng: random.Random, timeline, shard_catalog, ucas):
     if shard_catalog and (not ucas or rng.random() < 0.5):
         row = rng.choice(shard_catalog)
         transform = TRANSFORM_FOR_GUIDEWORD[row.guideword]
-        node_key = normalize_label(row.node_label)
         source_ref = f"shard:{row.node_label}/{row.guideword}"
     else:
         row = rng.choice(ucas)
         transform = CATEGORY_TRANSFORM[row.category]
-        node_key = normalize_label(row.node_label)
         source_ref = f"uca:{row.id}"
 
-    choices = _NODE_EVENT_KINDS.get(node_key)
+    choices = _NODE_EVENT_KINDS.get(normalize_label(row.node_label))
     if not choices:
         return None
     kind, action = rng.choice(choices)
@@ -139,27 +135,23 @@ def _sample_injection(rng: random.Random, timeline, shard_catalog, ucas):
     target = Selector(kind=kind, action=action, ordinal=ordinal)
     anchor = timeline[matches[ordinal - 1]]
 
-    if transform == "Drop":
-        return Injection(target=target, transform="Drop", source_ref=source_ref)
-    if transform == "SpuriousInsert":
-        span = timeline[-1].timestamp
-        ghost = Event(rng.randint(0, span), anchor.source, anchor.kind, dict(anchor.payload))
-        return Injection(target=target, transform="SpuriousInsert",
-                         source_ref=source_ref, event=ghost)
-    if transform in ("ShiftEarly", "ShiftLate"):
+    reads = TRANSFORM_FIELDS[transform]
+    drawn = {}
+    if "event" in reads:
+        drawn["event"] = Event(rng.randint(0, timeline[-1].timestamp), anchor.source,
+                               anchor.kind, dict(anchor.payload))
+    if "delta_ms" in reads:
         delta = rng.randint(100, 3000)
-        if transform == "ShiftEarly":
-            delta = min(delta, anchor.timestamp)
-        return Injection(target=target, transform=transform,
-                         source_ref=source_ref, delta_ms=delta)
-    # CorruptValue: the event's first declared boolean field, or a stage's view
-    fields = CONFIRM_ACTIONS[action] if kind == "commandConfirm" else NOMINAL_EVENTS[kind][1]
-    payload_field = "view" if action == "stageIdentified" else next(iter(fields), None)
-    if payload_field is None or payload_field not in anchor.payload:
-        return None
-    mutation = "staleDuplicate" if payload_field == "view" else "negate"
-    return Injection(target=target, transform="CorruptValue", source_ref=source_ref,
-                     payload_field=payload_field, mutation=mutation)
+        drawn["delta_ms"] = min(delta, anchor.timestamp) if transform == "ShiftEarly" else delta
+    if "payload_field" in reads:
+        # the event's first declared boolean field, or a stage's view
+        fields = CONFIRM_ACTIONS[action] if kind == "commandConfirm" else NOMINAL_EVENTS[kind][1]
+        payload_field = "view" if action == "stageIdentified" else next(iter(fields), None)
+        if payload_field is None or payload_field not in anchor.payload:
+            return None
+        drawn["payload_field"] = payload_field
+        drawn["mutation"] = "staleDuplicate" if payload_field == "view" else "negate"
+    return Injection(target=target, transform=transform, source_ref=source_ref, **drawn)
 
 
 def generate_campaign_scenario(rng: random.Random, config: ExecConfig,
@@ -198,9 +190,12 @@ def run_random_campaign(
 ) -> CampaignReport:
     if n < 1:
         raise ValueError("campaign needs n >= 1")
-    if shard_catalog is None or ucas is None:
-        shard_catalog = shard_catalog or load_shard_catalog(data_path("shard_catalog.csv"))
-        ucas = ucas or load_uca_catalog(data_path("uca_catalog.csv"))
+    if shard_catalog is None:
+        shard_catalog = load_shard_catalog(data_path("shard_catalog.csv"))
+    if ucas is None:
+        ucas = load_uca_catalog(data_path("uca_catalog.csv"))
+    if not shard_catalog and not ucas:
+        raise ValueError("campaign needs a SHARD or UCA catalog row to sample from")
 
     master = random.Random(seed)
     child_seeds = [master.randrange(2**63) for _ in range(n)]

@@ -369,7 +369,6 @@ RELEASE_GATE = (
 
 EXPOSURE_CONDITIONS = tuple(name for name, _ in EXPOSURE_GATE)
 MOTION_CONDITIONS = tuple(name for name, _ in MOTION_GATE)
-RELEASE_CONDITIONS = tuple(name for name, _ in RELEASE_GATE)
 
 
 def gate_failures(gate, executive: SafetyExecutive, state: ExecState) -> list[str]:

@@ -446,10 +446,10 @@ def monitor_r25(trace, config: ExecConfig, facts: TraceFacts | None = None) -> M
 
 def monitor_r26(trace, config: ExecConfig, facts: TraceFacts | None = None) -> MonitorVerdict:
     """Every stage transition names the responsible actor."""
-    transitions = [e for e in trace.log if e.kind == "stageTransition"]
+    transitions = [(i, e) for i, e in enumerate(trace.log) if e.kind == "stageTransition"]
     violations = [
         (i, f"transition {e.details!r} lacks actor")
-        for i, e in enumerate(transitions)
+        for i, e in transitions
         if e.actor not in ("A", "M", "SA")
     ]
     return _verdict("R26", violations, transitions, "no stage transitions")

@@ -6,6 +6,10 @@ Omission -> Drop, Commission -> SpuriousInsert, Early -> ShiftEarly,
 Late -> ShiftLate, Value -> CorruptValue.  Transforms never invent event
 kinds; they remove, duplicate, retime or corrupt what the script already
 contains, which keeps injected timelines legal inputs for the executive.
+
+``TRANSFORM_FIELDS`` is the one table of the fields each transform reads
+besides ``target`` and ``source_ref``.  An injection is checked against its
+row where it is built, so ``apply_injection`` fails only on the timeline.
 """
 
 from __future__ import annotations
@@ -26,7 +30,16 @@ TRANSFORM_FOR_GUIDEWORD = {
     "Value": "CorruptValue",
 }
 
-TRANSFORMS = tuple(TRANSFORM_FOR_GUIDEWORD.values())
+# transform -> the fields it reads and must set; every other field keeps its default
+TRANSFORM_FIELDS = {
+    "Drop": (),
+    "SpuriousInsert": ("event",),
+    "ShiftEarly": ("delta_ms",),
+    "ShiftLate": ("delta_ms",),
+    "CorruptValue": ("payload_field", "mutation"),
+}
+
+TRANSFORMS = tuple(TRANSFORM_FIELDS)
 MUTATIONS = ("negate", "zero", "outOfRange", "staleDuplicate")
 
 OUTCOME_SAFE_COMPLETION = "SafeCompletion"
@@ -69,16 +82,7 @@ class Selector:
         return hits
 
     def to_json_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.ordinal is not None:
-            out["ordinal"] = self.ordinal
-        if self.t_min is not None:
-            out["t_min"] = self.t_min
-        if self.t_max is not None:
-            out["t_max"] = self.t_max
-        if self.action is not None:
-            out["action"] = self.action
-        return out
+        return {key: value for key, value in vars(self).items() if value is not None}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Selector":
@@ -103,41 +107,57 @@ class Injection:
     target: Selector
     transform: str
     source_ref: str  # e.g. "shard:Capture X-ray/Commission" or "uca:UCA28"
-    delta_ms: int = 0  # ShiftEarly / ShiftLate
-    event: Event | None = None  # SpuriousInsert
-    payload_field: str | None = None  # CorruptValue
-    mutation: str | None = None  # CorruptValue
+    delta_ms: int = 0
+    event: Event | None = None
+    payload_field: str | None = None
+    mutation: str | None = None
+
+    def __post_init__(self):
+        """Check the fields against the transform's row of ``TRANSFORM_FIELDS``."""
+        if self.transform not in TRANSFORMS:
+            raise InjectionError(f"transform must be one of {', '.join(TRANSFORMS)}, "
+                                 f"got {self.transform!r}")
+        reads = TRANSFORM_FIELDS[self.transform]
+        for name in ("delta_ms", "event", "payload_field", "mutation"):
+            value = getattr(self, name)
+            if name in reads and value is None:
+                article = "an" if name[0] in "aeiou" else "a"
+                raise InjectionError(f"{self.transform} needs {article} {name}")
+            unset = value == 0 if name == "delta_ms" else value is None
+            if name not in reads and not unset:
+                raise InjectionError(f"{self.transform} does not read {name}, got {value!r}")
+        if self.mutation is not None and self.mutation not in MUTATIONS:
+            raise InjectionError(f"mutation must be one of {', '.join(MUTATIONS)}, "
+                                 f"got {self.mutation!r}")
+        if self.mutation == "outOfRange" and self.payload_field in _BOOLEAN_PAYLOAD_FIELDS:
+            raise InjectionError(f"outOfRange cannot corrupt boolean payload field "
+                                 f"{self.payload_field!r}: it must stay true or false")
 
     def to_json_dict(self) -> dict:
-        out: dict = {
-            "target": self.target.to_json_dict(),
-            "transform": self.transform,
-            "source_ref": self.source_ref,
-        }
-        if self.transform in ("ShiftEarly", "ShiftLate"):
-            out["delta_ms"] = self.delta_ms
-        if self.event is not None:
-            out["event"] = self.event.to_json_dict()
-        if self.payload_field is not None:
-            out["payload_field"] = self.payload_field
-        if self.mutation is not None:
-            out["mutation"] = self.mutation
+        out = {"target": self.target.to_json_dict(), "transform": self.transform,
+               "source_ref": self.source_ref}
+        for name in TRANSFORM_FIELDS[self.transform]:
+            value = getattr(self, name)
+            out[name] = value.to_json_dict() if name == "event" else value
         return out
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Injection":
-        json_keys(data, "injection", ("target", "transform", "source_ref", "delta_ms", "event",
-                                      "payload_field", "mutation"))
-        if data.get("payload_field") is not None:
-            json_text(data["payload_field"], "injection payload_field")
+        transform = json_text(json_field(data, "transform", "injection"), "injection transform")
+        if transform not in TRANSFORMS:
+            raise ValueError(f"injection transform must be one of {', '.join(TRANSFORMS)}, "
+                             f"got {transform!r}")
+        json_keys(data, f"{transform} injection",
+                  ("target", "transform", "source_ref", *TRANSFORM_FIELDS[transform]))
         return cls(
             target=Selector.from_json_dict(json_field(data, "target", "injection")),
-            transform=json_field(data, "transform", "injection"),
+            transform=transform,
             source_ref=json_text(json_field(data, "source_ref", "injection"),
                                  "injection source_ref"),
             delta_ms=json_int(data.get("delta_ms", 0), "injection delta_ms"),
-            event=Event.from_json_dict(data["event"]) if data.get("event") else None,
-            payload_field=data.get("payload_field"),
+            event=Event.from_json_dict(data["event"]) if "event" in data else None,
+            payload_field=(json_text(data["payload_field"], "injection payload_field")
+                           if "payload_field" in data else None),
             mutation=data.get("mutation"),
         )
 
@@ -150,15 +170,10 @@ def apply_injection(timeline: list[Event], inj: Injection) -> list[Event]:
     """Return a new timeline with the injection applied.
 
     Raises :class:`InjectionError` when the selector matches nothing (except
-    SpuriousInsert, which needs no anchor) or a shift would produce negative
-    time.
+    SpuriousInsert, which needs no anchor), a shift would produce negative
+    time or ``negate`` meets a value that is not a number.
     """
-    if inj.transform not in TRANSFORMS:
-        raise InjectionError(f"unknown transform {inj.transform!r}")
-
     if inj.transform == "SpuriousInsert":
-        if inj.event is None:
-            raise InjectionError("SpuriousInsert needs an event")
         return _stable_sort(list(timeline) + [inj.event])
 
     matched = inj.target.matches(timeline)
@@ -169,48 +184,36 @@ def apply_injection(timeline: list[Event], inj: Injection) -> list[Event]:
     if inj.transform == "Drop":
         return [e for i, e in enumerate(timeline) if i not in matched_set]
 
+    out = list(timeline)
     if inj.transform in ("ShiftEarly", "ShiftLate"):
         delta = inj.delta_ms if inj.transform == "ShiftLate" else -inj.delta_ms
-        out = []
-        for i, event in enumerate(timeline):
-            if i in matched_set:
-                t = event.timestamp + delta
-                if t < 0:
-                    raise InjectionError("shift produces negative timestamp")
-                out.append(Event(t, event.source, event.kind, dict(event.payload)))
-            else:
-                out.append(event)
+        for i in matched:
+            event = timeline[i]
+            if event.timestamp + delta < 0:
+                raise InjectionError("shift produces negative timestamp")
+            out[i] = Event(event.timestamp + delta, event.source, event.kind, dict(event.payload))
         return _stable_sort(out)
 
     # CorruptValue: payload-only mutation
-    if inj.payload_field is None or inj.mutation not in MUTATIONS:
-        raise InjectionError("CorruptValue needs payload_field and a known mutation")
-    out = []
     previous_value = None
     for i, event in enumerate(timeline):
-        if event.kind == inj.target.kind and inj.payload_field in event.payload:
-            if i not in matched_set:
+        if i not in matched_set:
+            if event.kind == inj.target.kind and inj.payload_field in event.payload:
                 previous_value = event.payload[inj.payload_field]
-        if i in matched_set:
-            payload = dict(event.payload)
-            value = payload.get(inj.payload_field)
-            if inj.mutation == "negate":
-                if not isinstance(value, (int, float)):  # a bool is an int
-                    raise InjectionError(f"negate needs a boolean or a number, got {value!r}")
-                payload[inj.payload_field] = (not value) if isinstance(value, bool) else -value
-            elif inj.mutation == "zero":
-                payload[inj.payload_field] = False if isinstance(value, bool) else 0
-            elif inj.mutation == "outOfRange":
-                if inj.payload_field in _BOOLEAN_PAYLOAD_FIELDS:  # the loader's rule
-                    raise InjectionError(f"outOfRange cannot corrupt boolean payload field "
-                                         f"{inj.payload_field!r}: it must stay true or false")
-                payload[inj.payload_field] = "OUT-OF-RANGE" if isinstance(value, str) else 10**9
-            elif inj.mutation == "staleDuplicate":
-                if previous_value is not None:
-                    payload[inj.payload_field] = previous_value
-            out.append(Event(event.timestamp, event.source, event.kind, payload))
-        else:
-            out.append(event)
+            continue
+        payload = dict(event.payload)
+        value = payload.get(inj.payload_field)
+        if inj.mutation == "negate":
+            if not isinstance(value, (int, float)):  # a bool is an int
+                raise InjectionError(f"negate needs a boolean or a number, got {value!r}")
+            payload[inj.payload_field] = (not value) if isinstance(value, bool) else -value
+        elif inj.mutation == "zero":
+            payload[inj.payload_field] = False if isinstance(value, bool) else 0
+        elif inj.mutation == "outOfRange":
+            payload[inj.payload_field] = "OUT-OF-RANGE" if isinstance(value, str) else 10**9
+        elif previous_value is not None:  # staleDuplicate, the one mutation left
+            payload[inj.payload_field] = previous_value
+        out[i] = Event(event.timestamp, event.source, event.kind, payload)
     return out
 
 

@@ -89,3 +89,25 @@ def test_every_sampled_injection_is_applied_or_skipped(monkeypatch, mammobot, co
     report = run_random_campaign(mammobot, config, 300, seed=7)
     assert None in sampled
     assert report.injections_applied + report.injections_skipped == len(sampled)
+
+
+def test_empty_catalog_is_not_replaced(monkeypatch, mammobot, config):
+    """Only a catalog left at None defaults to the shipped one; an empty SHARD
+    catalog beside the default UCA catalog draws UCA rows alone."""
+    sampled = []
+    sample = campaign._sample_injection
+
+    def recording(rng, timeline, shard_catalog, ucas):
+        sampled.append((shard_catalog, sample(rng, timeline, shard_catalog, ucas)))
+        return sampled[-1][1]
+
+    monkeypatch.setattr(campaign, "_sample_injection", recording)
+    run_random_campaign(mammobot, config, 50, seed=3, shard_catalog=[])
+    refs = [injection.source_ref for _, injection in sampled if injection is not None]
+    assert refs and all(ref.startswith("uca:") for ref in refs)
+    assert all(catalog == [] for catalog, _ in sampled)
+
+
+def test_two_empty_catalogs_rejected(mammobot, config):
+    with pytest.raises(ValueError, match="SHARD or UCA catalog"):
+        run_random_campaign(mammobot, config, 5, seed=1, shard_catalog=[], ucas=[])

@@ -283,6 +283,30 @@ class TestMalformedInputs:
          "injections[0]: selector action must be text, got ['x']"),
         (lambda d: d["injections"][0]["target"].update(ordinal=0),
          "injections[0]: selector ordinal counts from 1, got 0"),
+        (lambda d: d["injections"][0].update(event=_SPURIOUS_REQUEST["event"]),
+         "injections[0]: ShiftEarly injection has unknown key 'event'"),
+        (lambda d: d["injections"][0].update(payload_field="valid"),
+         "injections[0]: ShiftEarly injection has unknown key 'payload_field'"),
+        (lambda d: d["injections"][0].update(mutation="negate"),
+         "injections[0]: ShiftEarly injection has unknown key 'mutation'"),
+        (lambda d: d.update(injections=[dict(_SPURIOUS_REQUEST, delta_ms=999999)]),
+         "injections[0]: SpuriousInsert injection has unknown key 'delta_ms'"),
+        (lambda d: d["injections"][0].update(transform="Explode"),
+         "injections[0]: injection transform must be one of Drop, SpuriousInsert, ShiftEarly, "
+         "ShiftLate, CorruptValue, got 'Explode'"),
+        (lambda d: d["injections"][0].update(transform=["ShiftEarly"]),
+         "injections[0]: injection transform must be text, got ['ShiftEarly']"),
+        (lambda d: d.update(injections=[{key: value for key, value in _SPURIOUS_REQUEST.items()
+                                         if key != "event"}]),
+         "injections[0]: SpuriousInsert needs an event"),
+        (lambda d: d.update(injections=[dict(_SPURIOUS_REQUEST, event={})]),
+         "injections[0]: event is missing 't'"),
+        (lambda d: d.update(injections=[{key: value for key, value in _CORRUPT_SELF_TEST.items()
+                                         if key != "payload_field"}]),
+         "injections[0]: CorruptValue needs a payload_field"),
+        (lambda d: d.update(injections=[dict(_CORRUPT_SELF_TEST, mutation="explode")]),
+         "injections[0]: mutation must be one of negate, zero, outOfRange, staleDuplicate, "
+         "got 'explode'"),
     ], ids=["no-name", "text-t", "bool-t", "misspelt-injections", "misspelt-payload",
             "foreign-version", "list-action", "list-guard", "object-view", "list-detail",
             "object-detail", "negated-text", "list-payload-field", "zero-view",
@@ -291,7 +315,10 @@ class TestMalformedInputs:
             "requirement-without-violation", "text-valid", "number-ready", "null-identified",
             "out-of-range-ready", "number-source-ref", "null-source-ref",
             "spurious-number-kind", "spurious-unknown-kind", "unknown-kind", "spurious-list-action",
-            "zero-ordinal"])
+            "zero-ordinal", "shift-with-event", "shift-with-payload-field",
+            "shift-with-mutation", "insert-with-delta", "unknown-transform", "list-transform",
+            "insert-without-event", "empty-event", "corrupt-without-payload-field",
+            "unknown-mutation"])
     def test_malformed_scenario(self, tmp_path, capsys, mutate, reason):
         bad = tmp_path / "scenario.json"
         bad.write_text(json.dumps(_mutated(self.SCENARIO, mutate)))

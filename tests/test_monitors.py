@@ -204,7 +204,9 @@ class TestLogMonitors:
     def test_transition_without_actor_fails_r26(self, mammobot, config):
         trace = run_events(mammobot, config, nominal_timeline(config), enabled=True)
         trace.log.append(LogEntry(trace.log[-1].t, "stageTransition", "", "enter nowhere"))
-        assert verdict_map(trace, config)["R26"].status == VIOLATED
+        verdict = verdict_map(trace, config)["R26"]
+        assert verdict.status == VIOLATED
+        assert verdict.witness == len(trace.log) - 1 == 56  # the log index, as R21, R23, R25
 
 
 class TestDeterminism:

@@ -92,9 +92,8 @@ class TestSpuriousInsert:
         assert multiset(timeline) <= multiset(out)
 
     def test_insert_without_event_rejected(self, timeline):
-        inj = Injection(Selector(kind="exposureRequest"), "SpuriousInsert", "x")
         with pytest.raises(InjectionError, match="needs an event"):
-            apply_injection(timeline, inj)
+            Injection(Selector(kind="exposureRequest"), "SpuriousInsert", "x")
 
 
 class TestCorruptValue:
@@ -120,10 +119,36 @@ class TestCorruptValue:
 
     def test_unknown_mutation_rejected(self, timeline):
         assert "explode" not in MUTATIONS
-        inj = Injection(Selector(kind="postureUpdate", ordinal=1), "CorruptValue", "x",
-                        payload_field="valid", mutation="explode")
         with pytest.raises(InjectionError):
-            apply_injection(timeline, inj)
+            Injection(Selector(kind="postureUpdate", ordinal=1), "CorruptValue", "x",
+                      payload_field="valid", mutation="explode")
+
+
+class TestConstruction:
+    """An injection is checked against its transform's row of TRANSFORM_FIELDS
+    where it is built, not where it is applied."""
+
+    @pytest.mark.parametrize("transform,fields,reason", [
+        ("ShiftEarly", {"delta_ms": 5, "payload_field": "valid"}, "does not read payload_field"),
+        ("Drop", {"delta_ms": 5}, "does not read delta_ms"),
+        ("SpuriousInsert", {"event": Event(1, "Radiographer", "exposureRequest"),
+                            "mutation": "negate"}, "does not read mutation"),
+        ("CorruptValue", {"payload_field": "valid", "mutation": "negate",
+                          "event": Event(1, "Radiographer", "exposureRequest")},
+         "does not read event"),
+        ("Explode", {}, "transform must be one of Drop, "),
+        ("CorruptValue", {"payload_field": "valid"}, "CorruptValue needs a mutation"),
+        ("CorruptValue", {"payload_field": "valid", "mutation": "outOfRange"},
+         "outOfRange cannot corrupt boolean"),
+    ], ids=["shift-payload-field", "drop-delta", "insert-mutation", "corrupt-event",
+            "unknown-transform", "corrupt-without-mutation", "out-of-range-boolean"])
+    def test_rejected(self, transform, fields, reason):
+        with pytest.raises(InjectionError, match=reason):
+            Injection(Selector(kind="postureUpdate", ordinal=1), transform, "x", **fields)
+
+    def test_zero_shift_is_legal(self):
+        inj = Injection(Selector(kind="postureUpdate"), "ShiftLate", "x", delta_ms=0)
+        assert inj.to_json_dict()["delta_ms"] == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -142,7 +167,8 @@ def test_transform_algebra_property(seed):
     delta = rng.randint(0, 2000)
     if transform == "ShiftEarly":
         delta = min(delta, anchor.timestamp)
-    inj = Injection(Selector(kind=kind, ordinal=ordinal), transform, "prop", delta_ms=delta)
+    shift = {"delta_ms": delta} if transform != "Drop" else {}
+    inj = Injection(Selector(kind=kind, ordinal=ordinal), transform, "prop", **shift)
     out = apply_injection(timeline, inj)
     if transform == "Drop":
         assert multiset(out) <= multiset(timeline)
