@@ -68,17 +68,24 @@ against the search's own classification.  ``_replay`` is a one-statement
 delegate to that loop; it is kept, with its arguments, because the
 benchmark wraps it and reads its events argument.
 One replay executive, built apart from the search's and from the ones
-``simulate.run_events`` keeps, serves the whole cross-check.  Each witness's
-rebuilt path is one full event list, replayed from a fresh ``init_state()``
-of that executive, sharing no prefix and no search state, precisely so that
-a faulty branch copy shows up as a disagreement; rebuilding paths from
-records leaves that independence as it was.
+``simulate.run_events`` keeps, serves the whole cross-check, which visits
+the witnesses in depth-first preorder of the tree their parent indices
+form.  A witness whose parent is the witness replayed just before it
+continues that replay's session by its own one event; every other witness
+replays its whole rebuilt path from a fresh ``init_state()``.  Either way
+each witness's final state and trace come from the executive handling its
+path's events in order from a fresh initial state, with no state copied
+and nothing taken from the search, precisely so that a faulty branch copy
+shows up as a disagreement.  Each witness still gets its own key
+comparison and its own interlock verdict over its whole trace, and
+disagreements are reported in witness order.
 """
 
 from __future__ import annotations
 
 import struct
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields, replace
 
 from .executive import CONFIRM_ACTIONS, NOMINAL_EVENTS, Event, ExecConfig, SafetyExecutive
@@ -194,13 +201,16 @@ class ReachabilityResult:
         return out
 
 
-def _replay(model: ProcessModel, config: ExecConfig, events, executive: SafetyExecutive):
-    """``simulate.play`` of ``events`` through ``executive`` without close-out.
+def _replay(model: ProcessModel, config: ExecConfig, events, executive: SafetyExecutive,
+            resume=None):
+    """``simulate.play`` of ``events`` through ``executive`` without close-out,
+    continuing ``resume``, the ``(trace, state)`` an earlier replay through
+    ``executive`` returned, when one is given.
 
     ``model`` and ``config`` are unused (``executive`` was built from them);
     the name and arguments stay only because the benchmark wraps this
     function and reads ``events`` at ``args[2]``."""
-    return play(executive, events, close_out=False)
+    return play(executive, events, False, resume)
 
 
 def brute_force_reachability(
@@ -321,27 +331,62 @@ def _witness_path(witnesses, index: int) -> list[Event]:
     return path
 
 
+def _path_text(path) -> str:
+    """A witness path as a disagreement names it: the list of its events'
+    kinds, a ``commandConfirm`` written with its action."""
+    return str([f"commandConfirm:{e.payload['action']}" if e.kind == "commandConfirm" else e.kind
+                for e in path])
+
+
 def _cross_check(model, reach_config, enabled, witnesses, result) -> None:
     """Replay each witness's path through ``simulate.play`` and compare.
 
-    One replay executive, not the search's, serves every witness; each
-    replay starts from that executive's fresh initial state."""
+    One replay executive, not the search's, serves every witness.  The
+    witnesses are visited in depth-first preorder: a witness whose parent
+    was replayed just before it resumes that session with its own event,
+    any other replays its path from the executive's fresh initial state."""
     executive = SafetyExecutive(model, reach_config, enabled=enabled)
-    for index, key in enumerate(witnesses.keys):
-        path = _witness_path(witnesses, index)
-        trace, final_state = _replay(model, reach_config, path, executive)
+    parents, events, keys, unsafe = (
+        witnesses.parents, witnesses.events, witnesses.keys, witnesses.unsafe)
+    # the search appends each parent's records together and in parent
+    # order, so `parents` never decreases and a record's children are one
+    # run of indices, found by bisection; runs of siblings still to visit,
+    # the innermost last, are all the walk holds
+    roots = bisect_right(parents, -1)
+    runs = [(0, roots)] if roots else []
+    # the witness just replayed and its (trace, state); -1 and None at the
+    # start, so the first root, whose parent is -1, starts a fresh session
+    previous, session = -1, None
+    messages = []  # (witness index, text), reported in witness order
+    while runs:
+        index, end = runs.pop()
+        if index + 1 < end:
+            runs.append((index + 1, end))
+        if parents[index] == previous:
+            path = [events[index]]
+        else:
+            path, session = _witness_path(witnesses, index), None
+        session = _replay(model, reach_config, path, executive, session)
+        previous = index
+        # its children, visited before its remaining siblings; their parent
+        # index exceeds the siblings' parent, so they lie at or after `end`
+        first = bisect_left(parents, index, end)
+        last = bisect_right(parents, index, first)
+        if first < last:
+            runs.append((first, last))
+
+        trace, final_state = session
         result.cross_checked += 1
-        if key is not None:
-            replay_key = abstract_key(final_state, reach_config)
-            if replay_key != key:
-                result.cross_check_disagreements.append(
-                    f"state mismatch after {[e.kind for e in path]}"
-                )
+        key = keys[index]
+        if key is not None and abstract_key(final_state, reach_config) != key:
+            named = _path_text(_witness_path(witnesses, index))
+            messages.append((index, f"state mismatch after {named}"))
         verdict = monitor_r24(trace, reach_config)
-        monitor_unsafe = verdict.status == VIOLATED
-        unsafe = bool(witnesses.unsafe[index])
-        if monitor_unsafe != unsafe:
-            result.cross_check_disagreements.append(
-                f"verdict mismatch after {[e.kind for e in path]}: "
-                f"oracle={'unsafe' if unsafe else 'safe'} monitor={verdict.status}"
-            )
+        oracle_unsafe = bool(unsafe[index])
+        if (verdict.status == VIOLATED) != oracle_unsafe:
+            named = _path_text(_witness_path(witnesses, index))
+            messages.append((index, f"verdict mismatch after {named}: "
+                                    f"oracle={'unsafe' if oracle_unsafe else 'safe'} "
+                                    f"monitor={verdict.status}"))
+    messages.sort(key=lambda message: message[0])  # stable: a witness's two stay in order
+    result.cross_check_disagreements += [text for _, text in messages]

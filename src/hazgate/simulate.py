@@ -4,7 +4,8 @@ A run produces a :class:`Trace` (per-event state snapshots plus the session
 log) and the monitor verdicts evaluated over it.  :func:`play` is the one
 loop in hazgate that feeds events to an executive and records the trace:
 ``run_events`` uses it with the end-of-stream close-out, and ``reach``
-replays its witness paths through it without one.  Outcomes:
+replays its witness paths through it without one, resuming a replayed
+session where the next witness extends it.  Outcomes:
 
 * ``SafeCompletion`` -- workflow reached Final with no refusals and no
   monitor violations.
@@ -113,16 +114,28 @@ class ScenarioResult:
         return None
 
 
-def play(executive: SafetyExecutive, events, close_out: bool = True) -> tuple[Trace, ExecState]:
-    """Drive ``events`` through ``executive`` from a fresh initial state.
+def play(executive: SafetyExecutive, events, close_out: bool = True,
+         resume: tuple[Trace, ExecState] | None = None) -> tuple[Trace, ExecState]:
+    """Drive ``events`` through ``executive`` from a fresh initial state, or
+    on from ``resume``.
 
     This is the one loop that feeds events to an executive and records a
     ``TraceStep`` per event.  With ``close_out`` the end-of-stream safety
     close follows, recorded as a last step when it acts; reach replays its
     witness paths without it.  Returns the trace and the final state.
+
+    ``resume`` is the ``(trace, state)`` an earlier call through the same
+    executive returned without close-out: ``events`` then continue that
+    session instead of starting one, the steps extend that trace in place,
+    and its log and final fields are rewritten for the longer session.  So
+    playing a timeline's head without close-out and resuming it with the
+    tail gives the trace one call over the whole timeline gives.
     """
-    state = executive.init_state()
-    trace = Trace(executive_enabled=executive.enabled)
+    if resume is None:
+        state = executive.init_state()
+        trace = Trace(executive_enabled=executive.enabled)
+    else:
+        trace, state = resume
     steps = trace.steps
     # bound once per call, never across calls: a caller may rebind either
     # method on its class between runs, as the benchmark's tracer does

@@ -1,3 +1,4 @@
+import ast
 import gc
 import hashlib
 import json
@@ -9,13 +10,15 @@ import pytest
 
 from hazgate import reach
 from hazgate.executive import EVENT_KINDS, SafetyExecutive
+from hazgate.monitors import VIOLATED, MonitorVerdict
 from hazgate.reach import (
     DEFAULT_ALPHABET,
     abstract_key,
     brute_force_reachability,
     stimuli_for,
 )
-from hazgate.session import STATUS_ABANDONED, ExecState, stabilization_elapsed
+from hazgate.session import STATUS_ABANDONED, ExecState, log_jsonl, stabilization_elapsed
+from hazgate.simulate import play
 
 # ExecState slots the abstract key leaves out, each with its reason
 KEY_EXCLUDED = {
@@ -256,27 +259,104 @@ class TestProtected:
         assert len(result.cross_check_disagreements) == 585
         assert all(d.startswith("state mismatch") for d in result.cross_check_disagreements)
 
-    def test_replays_every_witness_path_in_order(self, mammobot, config, monkeypatch):
-        # each cross-checked witness is one full event list, handed to _replay
-        # in witness order; it extends the list of the witness it was found from
+    def test_replays_every_witness_path_once_depth_first(self, mammobot, config, monkeypatch):
+        # one _replay call per cross-checked witness: each starts fresh with a
+        # full path or resumes the previous call's session with one event, so
+        # each call's full path is the previous one's plus its event or given
+        # whole, and the full paths are the witness paths, each once
         replay = reach._replay
-        replayed = []
+        paths, returned, handed = [], [], []
 
-        def recording_replay(model, reach_config, events, executive):
-            replayed.append(tuple(
+        def recording_replay(model, reach_config, events, executive, resume):
+            handed.append(len(events))
+            encoded = tuple(
                 (e.timestamp, e.source, e.kind, tuple(sorted(e.payload.items())))
-                for e in events))
-            return replay(model, reach_config, events, executive)
+                for e in events)
+            if resume is None:
+                paths.append(encoded)
+            else:
+                assert resume is returned[-1] and len(encoded) == 1
+                paths.append(paths[-1] + encoded)
+            returned.append(replay(model, reach_config, events, executive, resume))
+            return returned[-1]
 
         monkeypatch.setattr(reach, "_replay", recording_replay)
         result = brute_force_reachability(mammobot, config, max_depth=8)
-        assert len(replayed) == result.cross_checked == 4382
+        assert len(paths) == len(set(paths)) == result.cross_checked == 4382
         seen = {()}
-        for events in replayed:
-            assert events[:-1] in seen
-            seen.add(events)
-        assert hashlib.sha256(json.dumps(replayed).encode("utf-8")).hexdigest() == (
+        for path in paths:
+            assert path[:-1] in seen  # depth first: a witness after the one it was found from
+            seen.add(path)
+        # 28,058 events when every witness replayed its whole path
+        assert sum(handed) == 14544
+        # witness order is discovery order: by depth, then by the place of the
+        # witness it was found from, then by the stimulus that led from there
+        stimulus = {(kind, tuple(sorted(payload.items()))): i
+                    for i, (kind, payload) in enumerate(stimuli_for(DEFAULT_ALPHABET))}
+        place, ordered = {(): -1}, []
+        for depth in range(1, 9):
+            for path in sorted((p for p in paths if len(p) == depth),
+                               key=lambda p: (place[p[:-1]], stimulus[p[-1][2:]])):
+                place[path] = len(ordered)
+                ordered.append(path)
+        assert len(ordered) == 4382
+        assert hashlib.sha256(json.dumps(ordered).encode("utf-8")).hexdigest() == (
             "cd169de38cc2beea7fea045924cfcdd531b60687ed34168defb6992ca98b564b")
+
+    def test_disagreements_name_each_confirmed_action(self, mammobot, config, monkeypatch):
+        # a commandConfirm is written with its action, so each message names
+        # one witness: two witnesses that differ only in an action read apart
+        branch = ExecState.branch
+
+        def sharing_branch(state):
+            dup = branch(state)
+            dup.ledger = state.ledger
+            return dup
+
+        monkeypatch.setattr(ExecState, "branch", sharing_branch)
+        result = brute_force_reachability(mammobot, config, max_depth=3)
+        disagreements = result.cross_check_disagreements
+        assert len(disagreements) == len(set(disagreements)) == 66
+        assert disagreements[0] == "state mismatch after ['commandConfirm:exposure']"
+        monkeypatch.undo()
+
+        monkeypatch.setattr(reach, "monitor_r24", lambda trace, cfg: MonitorVerdict("R24", VIOLATED))
+        result = brute_force_reachability(mammobot, config, max_depth=3)
+        disagreements = result.cross_check_disagreements
+        assert disagreements[0] == (
+            "verdict mismatch after ['commandConfirm:selfTest']: oracle=safe monitor=Violated")
+        assert len(disagreements) == result.cross_checked == 206
+        # in witness order, which is by depth, not in the depth-first order of the replays
+        depths = [len(ast.literal_eval(d[d.index("["):d.index("]") + 1])) for d in disagreements]
+        assert depths == sorted(depths) and depths[-1] == 3
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_resumed_replays_match_fresh_ones(self, mammobot, config, monkeypatch, enabled):
+        # a resumed replay ends where the witness's whole path, played from a
+        # fresh initial state of another executive, ends: same trace, log and key
+        replay = reach._replay
+        reach_config = replace(config, confirmation_staleness_ms=reach.REACH_STALENESS_MS)
+        other = SafetyExecutive(mammobot, reach_config, enabled=enabled)
+        full, resumed = [], []
+
+        def checking_replay(model, reach_config, events, executive, resume):
+            trace, state = replay(model, reach_config, events, executive, resume)
+            full[:] = (full if resume else []) + list(events)
+            if resume is not None:
+                resumed.append(len(full))
+                fresh_trace, fresh_state = play(other, full, close_out=False)
+                assert trace.to_jsonl() == fresh_trace.to_jsonl()
+                assert log_jsonl(trace.log) == log_jsonl(fresh_trace.log)
+                assert abstract_key(state, reach_config) == abstract_key(fresh_state, reach_config)
+            return trace, state
+
+        monkeypatch.setattr(reach, "_replay", checking_replay)
+        # unprotected, the search goes on past unsafe states until its budget runs out
+        result = brute_force_reachability(mammobot, config, max_depth=8, executive_enabled=enabled,
+                                          stop_at_first=False, state_budget=5000)
+        assert result.cross_check_disagreements == []
+        assert result.unsafe_reachable != enabled
+        assert resumed and max(resumed) > 2
 
     def test_cross_check_starts_with_the_search_states_released(self, mammobot, config,
                                                                  monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 from dataclasses import FrozenInstanceError, replace
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hazgate import reach, simulate
+from hazgate.acceptance import _random_timeline
 from hazgate.datafiles import data_path
 from hazgate.executive import (
     EVENT_KINDS, Event, ExecConfig, SafetyExecutive, StepVerdict, init_executive,
@@ -150,9 +152,9 @@ class TestExecutiveReuse:
         replayed = []
         replay = reach._replay
 
-        def recording(model, cfg, events, executive):
+        def recording(model, cfg, events, executive, resume):
             replayed.append(executive)
-            return replay(model, cfg, events, executive)
+            return replay(model, cfg, events, executive, resume)
 
         monkeypatch.setattr(reach, "_replay", recording)
         run_events(mammobot, config, [])
@@ -162,6 +164,30 @@ class TestExecutiveReuse:
         kept = simulate._EXECUTIVES.values()
         assert not any(executive is k for executive in {*replayed, hooked} for k in kept)
         assert hooked is not init_executive(mammobot, config)[0]
+
+
+class TestResume:
+    """``play`` with ``resume`` continues the session an earlier call left
+    without close-out, as reach's cross-check does witness by witness."""
+
+    def test_resumed_session_matches_one_play(self, mammobot, config):
+        rng = random.Random(20261020)
+        runs = [(Scenario.load(path).compiled_timeline(), enabled)
+                for path in sorted(data_path("scenarios").glob("*.json"))
+                for enabled in (True, False)]
+        runs += [(_random_timeline(rng), i % 2 == 0) for i in range(200)]
+        executives = {enabled: SafetyExecutive(mammobot, config, enabled=enabled)
+                      for enabled in (True, False)}
+        for events, enabled in runs:
+            executive = executives[enabled]
+            whole = play(executive, events)[0]
+            expected = (whole.to_jsonl(), log_jsonl(whole.log))
+            for split in range(len(events) + 1):
+                head = play(executive, events[:split], close_out=False)
+                resumed = play(executive, events[split:], resume=head)[0]
+                assert resumed is head[0]  # the head's trace, extended
+                assert (resumed.to_jsonl(), log_jsonl(resumed.log)) == expected, split
+                assert resumed.final_snapshot == whole.final_snapshot
 
 
 # the record each --trace and --log line encodes, built as the exporters
