@@ -340,17 +340,23 @@ def _since(entries, start, stop) -> list:
 
 
 def _emergency_context(trace, t) -> bool:
-    """True when, by time t, the session was abandoned or its latest fault or
-    stop has no strictly later resume; the log is in time order.
+    """True when, before the release at time t, the session was abandoned or
+    its latest fault or stop has no strictly later resume; the log is in
+    time order.
 
-    The safe-posture transition that emergencies mandate is system-initiated,
-    so the multi-source confirmation rule does not govern it.  Any later
-    resume ends a fault here, even one before the fault was cleared: that is
-    the known R20 false positive (ROADMAP item 5), whose fix is one more
-    condition on the resume ``stop`` below."""
+    The walk reads the log in processing order and ends at the release's
+    own entry (a session grants at most one release: ``compliance_mode`` is
+    never cleared), or past t where the log holds none, so a fault, stop or
+    abandonment logged after the release in the same millisecond does not
+    count as the emergency that mandated it.  The safe-posture transition
+    that emergencies mandate is system-initiated, so the multi-source
+    confirmation rule does not govern it.  Any later resume ends a fault
+    here, even one before the fault was cleared: that is the known R20 false
+    positive (ROADMAP item 5), whose fix is one more condition on the resume
+    ``stop`` below."""
     before = []
     for e in trace.log:
-        if e.t > t:
+        if e.t > t or e.mark == "release":
             break
         if e.kind == "abandon":
             return True

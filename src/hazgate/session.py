@@ -2,7 +2,8 @@
 
 One module owns each layout that several modules read: the confirmation
 ledger, the session log with its line template (``log_jsonl``) and its
-closed ``LOG_MARKS``, and ``ExecState`` with its search ``branch`` and its
+closed ``LOG_MARKS``, and ``ExecState`` with its search ``branch`` (and
+``branch_into``, which writes one into a state no longer read) and its
 monitor ``snapshot``, whose tuple the ``SNAP_*`` indices name.  Every clock
 and timestamp of a session lives here.  The module imports nothing from
 hazgate, so the executive, the monitors, simulate and reach can all import it.
@@ -226,17 +227,30 @@ class ExecState:
         )
 
     def branch(self) -> "ExecState":
-        """Independent copy for search branching, with an empty log.
-
-        Every slot is either an immutable value, shared as it is, or a
-        container of the branch's own, so handling an event on the branch
-        leaves this state untouched.  ``views_acquired`` is a frozenset that
-        a new view replaces; ``retake_count`` and ``generic_decisions`` are
-        copied, as a new empty dict when empty.  The ledger is a copy of its
-        own whose record tuple is shared until the branch writes it.  The log
-        starts empty so each branch records only its own step's entries.
-        """
+        """Independent copy for search branching, with an empty log: a new
+        state, ledger and log, which ``branch_into`` fills."""
         dup = ExecState.__new__(ExecState)
+        dup.ledger = self.ledger.copy()
+        dup.log = SessionLog()
+        self.branch_into(dup)
+        return dup
+
+    def branch_into(self, dup: "ExecState") -> None:
+        """Overwrite ``dup`` with this state's branch, allocating no state.
+
+        ``dup`` is a state of the same executive that nothing reads any
+        more, as a dropped search branch is; afterwards it is what
+        ``branch()`` returns, in the objects ``dup`` already had.  Every slot
+        is either an immutable value, shared as it is, or a container of
+        ``dup``'s own, so handling an event on ``dup`` leaves this state
+        untouched.  ``views_acquired`` is a frozenset that a new view
+        replaces; ``retake_count`` and ``generic_decisions`` are copied, as a
+        new empty dict when empty.  ``dup``'s ledger takes this ledger's
+        record tuple and the ``held()`` bytes read from it, sharing the
+        tuple until either writes it; its required pairs are the same,
+        since both ledgers come from one executive.  ``dup``'s log is
+        emptied, so it records only its own step's entries.
+        """
         dup.current_node = self.current_node
         dup.clock = self.clock
         dup.posture_valid = self.posture_valid
@@ -264,9 +278,10 @@ class ExecState:
         dup.exposure_in_progress = self.exposure_in_progress
         dup.awaiting_resume = self.awaiting_resume
         dup.session_status = self.session_status
-        dup.ledger = self.ledger.copy()
-        dup.log = SessionLog()
-        return dup
+        ledger, record = dup.ledger, self.ledger
+        ledger.received, ledger._held, ledger._held_of = (
+            record.received, record._held, record._held_of)
+        dup.log.entries.clear()
 
     def snapshot(self) -> tuple:
         """Cheap immutable view of everything the trace monitors evaluate."""

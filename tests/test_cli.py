@@ -148,15 +148,15 @@ class TestReachCommand:
 
     def test_disagreements_are_printed(self, tmp_path, capsys, monkeypatch):
         # a branch that shares its parent's ledger, as in
-        # test_reach.py::test_cross_check_catches_a_branch_sharing_its_ledger
-        branch = ExecState.branch
+        # test_reach.py::test_cross_check_catches_a_branch_sharing_its_ledger;
+        # branch_into is the copy every search transition runs
+        branch_into = ExecState.branch_into
 
-        def sharing_branch(state):
-            dup = branch(state)
+        def sharing_branch_into(state, dup):
+            branch_into(state, dup)
             dup.ledger = state.ledger
-            return dup
 
-        monkeypatch.setattr(ExecState, "branch", sharing_branch)
+        monkeypatch.setattr(ExecState, "branch_into", sharing_branch_into)
         report = tmp_path / "reach.json"
         assert main(["reach", MODEL, CONFIG, "--depth", "8", "--json", str(report)]) == 1
         body = json.loads(report.read_text())

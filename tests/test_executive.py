@@ -209,6 +209,9 @@ class TestConstruction:
 
 
 class TestBranch:
+    """A search transition's state, from ``branch()`` or written by
+    ``branch_into`` over a dirty state that a search no longer reads."""
+
     @pytest.fixture
     def mid_session(self, mammobot, config):
         executive, state = fresh(mammobot, config)
@@ -219,8 +222,36 @@ class TestBranch:
         assert any(t is not None for t in confirmations(state.ledger).values())
         return state
 
-    def test_every_slot_copied_and_log_empty(self, mid_session):
-        branch = mid_session.branch()
+    @pytest.fixture(params=["fresh", "recycled"])
+    def branch_of(self, request, mammobot, config):
+        """``branch_of(parent)`` -> ``(branch, stale)``: ``stale`` maps each
+        slot to the dirty state's value before the write (empty for a fresh
+        branch)."""
+        if request.param == "fresh":
+            return lambda parent: (parent.branch(), {})
+        # another session, run to completion, unlike the parent in its
+        # node, clock, views, retakes, decisions, ledger record and log
+        executive, dirty = fresh(mammobot, config)
+        events = nominal_timeline(config, retakes={"MLO-L": 2})
+        run_prefix(executive, dirty, events, events[-1].timestamp)
+        dirty.generic_decisions["otherGuard"] = False
+        dirty.ledger.record("exposure", "Patient", 123)
+        dirty.ledger.held()  # fills its cache from this record
+
+        def recycle(parent):
+            stale = {slot: getattr(dirty, slot) for slot in ExecState.__slots__}
+            for slot in ("current_node", "clock", "views_acquired", "retake_count",
+                         "generic_decisions"):
+                assert stale[slot] != getattr(parent, slot), slot
+            assert confirmations(dirty.ledger) != confirmations(parent.ledger)
+            assert len(dirty.log)
+            parent.branch_into(dirty)
+            return dirty, stale
+
+        return recycle
+
+    def test_every_slot_copied_and_log_empty(self, mid_session, branch_of):
+        branch, stale = branch_of(mid_session)
         for slot in ExecState.__slots__:
             if slot == "log":
                 continue
@@ -228,14 +259,22 @@ class TestBranch:
             if slot == "ledger":
                 assert value is not mid_session.ledger
                 assert confirmations(value) == confirmations(mid_session.ledger)
+                assert value.held() == mid_session.ledger.held()
                 assert value.required == mid_session.ledger.required
                 assert value.staleness_ms == mid_session.ledger.staleness_ms
             else:
                 assert value == getattr(mid_session, slot), slot
         assert len(branch.log) == 0
         assert branch.snapshot() == mid_session.snapshot()
+        # a recycled state keeps its own ledger and log objects, and no
+        # other value it held before the write
+        for slot, old in stale.items():
+            if slot in ("ledger", "log"):
+                assert getattr(branch, slot) is old
+            else:
+                assert getattr(branch, slot) is not old or old == getattr(mid_session, slot), slot
 
-    def test_mutating_branch_leaves_original(self, mammobot, config, mid_session):
+    def test_mutating_branch_leaves_original(self, mammobot, config, mid_session, branch_of):
         views = set(mid_session.views_acquired)
         retakes = dict(mid_session.retake_count)
         decisions = dict(mid_session.generic_decisions)
@@ -245,7 +284,7 @@ class TestBranch:
         # every write goes through the executive or the ledger API, as a
         # search branch's writes do
         executive = SafetyExecutive(mammobot, config)
-        branch = mid_session.branch()
+        branch, _ = branch_of(mid_session)
         t = branch.clock
         for retake, view in ((True, "CC"), (False, None)):
             branch.exposure_in_progress = True
@@ -268,18 +307,18 @@ class TestBranch:
         assert mid_session.retake_count == retakes
         assert mid_session.generic_decisions == decisions
         assert confirmations(mid_session.ledger) == received
+        assert mid_session.ledger.held() == bytes([t is not None for t in received.values()])
         assert len(mid_session.log) == log_length
 
-    def test_branch_shares_only_immutable_values(self, mid_session):
+    def test_branch_shares_only_immutable_values(self, mid_session, branch_of):
         """A slot the branch shares with its parent holds an immutable value,
         so no write to either can reach the other; the ledger's record of
         confirmations is itself immutable, so its copy may share it."""
-        branch = mid_session.branch()
+        branch, _ = branch_of(mid_session)
         for slot in ExecState.__slots__:
             value = getattr(branch, slot)
             assert value is not getattr(mid_session, slot) or _immutable(value), slot
         assert branch.ledger.received is mid_session.ledger.received
-        assert _immutable(branch.ledger.received)
 
 
 def _immutable(value) -> bool:

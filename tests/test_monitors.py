@@ -183,6 +183,24 @@ class TestEmergencyRelease:
         trace.log.append(LogEntry(500, "release", "System", "compliant safe posture"))
         assert verdict_map(trace, config)["R20"].status == VIOLATED
 
+    @pytest.mark.parametrize("trigger", [
+        Event(5000, "System", "fault"),
+        Event(5000, "Patient", "voiceStop"),
+        Event(5000, "Patient", "abandonSession"),
+        Event(5001, "System", "fault"),
+    ], ids=lambda e: f"{e.kind}-{e.timestamp}")
+    def test_emergency_logged_after_the_release_does_not_exempt_it(self, mammobot, config,
+                                                                   trigger):
+        # unprotected, a release without the Radiographer is granted; an
+        # emergency logged after it, even in the same millisecond, did not
+        # mandate it
+        release = Event(5000, "Patient", "commandConfirm", {"action": "release"})
+        trace = run_events(mammobot, config, [release, trigger], enabled=False)
+        assert [e.mark for e in trace.log].index("release") < len(trace.log) - 1
+        verdict = verdict_map(trace, config)["R20"]
+        assert (verdict.status, verdict.explanation) == (
+            VIOLATED, "release at 5000 without fresh Radiographer")
+
 
 class TestLogMonitors:
     def test_tampered_log_fails_r8(self, mammobot, config):
@@ -304,8 +322,10 @@ class TestPastTimeEdges:
         ([(100, "fault"), (200, "resume")], 150, True),  # entries after t are not read
         ([(50, "abandon"), (100, "fault"), (200, "resume")], 300, True),
         ([(100, "fault"), (300, "tick"), (200, "resume")], 250, True),  # reads up to t only
+        # ends at the release's own entry: a same-ms fault after it is not read
+        ([(100, "release", "release"), (100, "fault")], 100, False),
     ], ids=["same-ms-resume", "resumed", "resume-after-t", "abandoned-then-resumed",
-            "out-of-order-log"])
+            "out-of-order-log", "fault-after-release"])
     def test_emergency_context(self, mammobot, config, entries, t, expected):
         trace = run_events(mammobot, config, [], enabled=True)
         trace.log = _log(*entries)

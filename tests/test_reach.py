@@ -53,6 +53,18 @@ def report_sha256(result) -> str:
         json.dumps(result.to_json_dict(), sort_keys=True).encode("utf-8")).hexdigest()
 
 
+def _sharing_branch_into():
+    """``ExecState.branch_into`` with a copy fault: the branch is left
+    holding its parent's ledger object, so its writes reach the parent."""
+    branch_into = ExecState.branch_into
+
+    def sharing_branch_into(state, dup):
+        branch_into(state, dup)
+        dup.ledger = state.ledger
+
+    return sharing_branch_into
+
+
 class TestAlphabet:
     def test_eight_event_kinds(self):
         assert len(DEFAULT_ALPHABET) == 8
@@ -241,18 +253,42 @@ class TestProtected:
         assert report_sha256(result) == (
             "595076628f15241ec0a0f6369fb51cf0c421382b6d5fd4531dbb6d18d1ce39ac")
 
+    def test_protected_depth_12_pinned(self, mammobot, config):
+        result = brute_force_reachability(mammobot, config, max_depth=12)
+        assert not result.unsafe_reachable
+        assert result.complete
+        assert result.cross_check_disagreements == []
+        assert (result.states_explored, result.transitions, result.cross_checked) == (
+            10983, 139230, 10982)
+        assert report_sha256(result) == (
+            "680b2f908ec6fe7b9cc079dd18f458a6b3a25d51a9bdd656d2d07b1f06f1b564")
+
+    def test_allocates_states_only_to_keep_for_expansion(self, mammobot, config, monkeypatch):
+        # a transition that lands on a visited key, or on a last-layer state,
+        # leaves its state as the spare the next transition writes into, so
+        # a state is allocated only by the first transition and after each
+        # of the 3,082 states kept for expansion: 3,083, where a branch()
+        # per transition allocated 46,245
+        branch = ExecState.branch
+        allocated = []
+
+        def counting_branch(state):
+            allocated.append(None)
+            return branch(state)
+
+        monkeypatch.setattr(ExecState, "branch", counting_branch)
+        result = brute_force_reachability(mammobot, config, max_depth=8, cross_check=False)
+        assert result.transitions == 46245
+        assert len(allocated) <= result.states_explored == 4383
+        assert len(allocated) == 3083
+
     def test_cross_check_catches_a_branch_sharing_its_ledger(self, mammobot, config,
                                                               monkeypatch):
         # the replays share nothing with the search, so a faulty branch copy
-        # shows up as disagreements rather than being repeated by the replay
-        branch = ExecState.branch
-
-        def sharing_branch(state):
-            dup = branch(state)
-            dup.ledger = state.ledger
-            return dup
-
-        monkeypatch.setattr(ExecState, "branch", sharing_branch)
+        # shows up as disagreements rather than being repeated by the replay;
+        # the fault is in branch_into, which a fresh branch and a recycled
+        # one both run
+        monkeypatch.setattr(ExecState, "branch_into", _sharing_branch_into())
         result = brute_force_reachability(
             mammobot, config, max_depth=8, executive_enabled=True
         )
@@ -306,14 +342,7 @@ class TestProtected:
     def test_disagreements_name_each_confirmed_action(self, mammobot, config, monkeypatch):
         # a commandConfirm is written with its action, so each message names
         # one witness: two witnesses that differ only in an action read apart
-        branch = ExecState.branch
-
-        def sharing_branch(state):
-            dup = branch(state)
-            dup.ledger = state.ledger
-            return dup
-
-        monkeypatch.setattr(ExecState, "branch", sharing_branch)
+        monkeypatch.setattr(ExecState, "branch_into", _sharing_branch_into())
         result = brute_force_reachability(mammobot, config, max_depth=3)
         disagreements = result.cross_check_disagreements
         assert len(disagreements) == len(set(disagreements)) == 66
