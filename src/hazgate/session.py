@@ -95,14 +95,18 @@ class ConfirmationLedger:
             self._held_of = received
         return self._held
 
+    def take_record(self, other: "ConfirmationLedger") -> None:
+        """Take ``other``'s record tuple and the ``held()`` bytes read from
+        it.  The tuple is immutable, a write replacing it, so the two ledgers
+        share it until either writes."""
+        self.received, self._held, self._held_of = other.received, other._held, other._held_of
+
     def copy(self) -> "ConfirmationLedger":
         dup = ConfirmationLedger.__new__(ConfirmationLedger)
         dup.required = self.required  # never mutated after __init__
         dup.layout = self.layout
         dup.staleness_ms = self.staleness_ms
-        dup.received = self.received  # immutable: a write replaces it
-        dup._held_of = self._held_of
-        dup._held = self._held
+        dup.take_record(self)
         dup._index = self._index
         dup._by_action = self._by_action
         dup._by_source = self._by_source
@@ -246,10 +250,9 @@ class ExecState:
         untouched.  ``views_acquired`` is a frozenset that a new view
         replaces; ``retake_count`` and ``generic_decisions`` are copied, as a
         new empty dict when empty.  ``dup``'s ledger takes this ledger's
-        record tuple and the ``held()`` bytes read from it, sharing the
-        tuple until either writes it; its required pairs are the same,
-        since both ledgers come from one executive.  ``dup``'s log is
-        emptied, so it records only its own step's entries.
+        record (``take_record``); its required pairs are the same, since
+        both ledgers come from one executive.  ``dup``'s log is emptied, so
+        it records only its own step's entries.
         """
         dup.current_node = self.current_node
         dup.clock = self.clock
@@ -278,9 +281,7 @@ class ExecState:
         dup.exposure_in_progress = self.exposure_in_progress
         dup.awaiting_resume = self.awaiting_resume
         dup.session_status = self.session_status
-        ledger, record = dup.ledger, self.ledger
-        ledger.received, ledger._held, ledger._held_of = (
-            record.received, record._held, record._held_of)
+        dup.ledger.take_record(self.ledger)
         dup.log.entries.clear()
 
     def snapshot(self) -> tuple:

@@ -319,6 +319,7 @@ class TestBranch:
             value = getattr(branch, slot)
             assert value is not getattr(mid_session, slot) or _immutable(value), slot
         assert branch.ledger.received is mid_session.ledger.received
+        assert _immutable(branch.ledger.received)
 
 
 def _immutable(value) -> bool:
