@@ -231,11 +231,11 @@ def criterion_5():
     return True, "2^8 rows, exactly one grants exposure, gate == oracle"
 
 
-@_criterion(6, "stop safety per node", 5.0)
-def criterion_6():
-    model, config = _model(), _config()
-    # one retake routes the session through the adjustment loop, so every
-    # action and decision node of the canonical model gets traversed
+def stop_sweep(model, config) -> dict:
+    """Criterion 6's inputs by node: a nominal session with one retake and a
+    voiceStop at the node's first traversal, for each action and decision
+    node the session traverses.  One retake routes the session through the
+    adjustment loop, so it traverses every such node of the canonical model."""
     events = nominal_timeline(config, retakes={"CC": 1})
     executive, state = init_executive(model, config)
     first_traversal: dict[str, int] = {}
@@ -249,16 +249,25 @@ def criterion_6():
     for i, event in enumerate(events):
         current_index = i
         executive.handle_event(state, event)
+    sweep = {}
+    for node in [n.id for n in model.nodes if n.kind in ("Action", "Decision")]:
+        if node in first_traversal:
+            k = first_traversal[node]
+            stop_t = events[k].timestamp if k >= 0 else 0
+            sweep[node] = events[: k + 1] + [Event(stop_t, "Patient", "voiceStop")] + events[k + 1:]
+    return sweep
 
+
+@_criterion(6, "stop safety per node", 5.0)
+def criterion_6():
+    model, config = _model(), _config()
+    sweep = stop_sweep(model, config)
     targets = [n.id for n in model.nodes if n.kind in ("Action", "Decision")]
-    missing = [n for n in targets if n not in first_traversal]
+    missing = [n for n in targets if n not in sweep]
     if missing:
         return False, f"nominal run never traverses {missing}"
     failures = []
-    for node in targets:
-        k = first_traversal[node]
-        stop_t = events[k].timestamp if k >= 0 else 0
-        timeline = events[: k + 1] + [Event(stop_t, "Patient", "voiceStop")] + events[k + 1:]
+    for node, timeline in sweep.items():
         trace = run_events(model, config, timeline, enabled=True)
         verdicts = evaluate_monitors(trace, config)
         bad = [v for v in verdicts if v.status == VIOLATED]

@@ -126,10 +126,11 @@ def play(executive: SafetyExecutive, events, close_out: bool = True,
 
     ``resume`` is the ``(trace, state)`` an earlier call through the same
     executive returned without close-out: ``events`` then continue that
-    session instead of starting one, the steps extend that trace in place,
-    and its log and final fields are rewritten for the longer session.  So
-    playing a timeline's head without close-out and resuming it with the
-    tail gives the trace one call over the whole timeline gives.
+    session instead of starting one, the steps and the log extend that
+    trace in place by what the session gained, and its final fields are
+    rewritten for the longer session.  So playing a timeline's head without
+    close-out and resuming it with the tail gives the trace one call over
+    the whole timeline gives.
     """
     if resume is None:
         state = executive.init_state()
@@ -148,7 +149,7 @@ def play(executive: SafetyExecutive, events, close_out: bool = True,
         emitted, verdicts = executive.close_out(state)
         if emitted or verdicts:
             steps.append(TraceStep(None, snapshot(), tuple(emitted), tuple(verdicts)))
-    trace.log = list(state.log)
+    trace.log += state.log.entries[len(trace.log):]  # the session's log only grows
     trace.final_snapshot = snapshot()
     trace.final_status = state.session_status
     trace.final_node = state.current_node

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from hazgate import monitors, reach
-from hazgate.acceptance import _random_timeline
+from hazgate import campaign, monitors, reach
+from hazgate.acceptance import _random_timeline, stop_sweep
 from hazgate.datafiles import data_path
 from hazgate.executive import ExecConfig, Event
 from hazgate.monitors import (
@@ -18,7 +18,7 @@ from hazgate.monitors import (
     evaluate_monitors,
 )
 from hazgate.scenarios import Scenario, nominal_timeline
-from hazgate.session import LOG_MARKS, LogEntry
+from hazgate.session import LOG_MARKS, SNAP_ARM_MOVING, SNAP_CLOCK, LogEntry
 from hazgate.simulate import TraceStep, run_events
 from hazgate.stpa import load_requirements
 
@@ -256,6 +256,49 @@ class TestSharedFacts:
             trace = run_events(mammobot, config, _random_timeline(rng), enabled=i % 2 == 0)
             self._assert_bank_equals_alone(trace, config)
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_campaign_scenarios(self, mammobot, config, monkeypatch, enabled):
+        """Campaign scenarios feed the ledger to motion, exposure and release
+        grants, and unprotected ones fire orphan exposures; protected random
+        timelines never grant a motion or an exposure."""
+        granted = []
+
+        def bank(trace, config, requirements):
+            self._assert_bank_equals_alone(trace, config)
+            granted.extend(kind if kind != "exposure" or "fire-exposure" in trace.steps[i].emitted
+                           else "orphan" for i, _, kind in monitors._step_pass(trace, config).grants)
+            return evaluate_monitors(trace, config, requirements)
+
+        monkeypatch.setattr(campaign, "evaluate_monitors", bank)
+        report = campaign.run_random_campaign(mammobot, config, 200, 7, executive_enabled=enabled)
+        assert sum(report.outcomes.values()) == 200
+        assert {"motion", "exposure", "release"} <= set(granted)
+        assert ("orphan" in granted) is not enabled
+
+    def test_stop_sweep(self, mammobot, config):
+        """Criterion 6's stops, each followed by a release in emergency
+        context, which R20 leaves to R25."""
+        sweep = stop_sweep(mammobot, config)
+        assert len(sweep) == 18
+        exempt = 0
+        for timeline in sweep.values():
+            trace = run_events(mammobot, config, timeline, enabled=True)
+            self._assert_bank_equals_alone(trace, config)
+            exempt += any(monitors._emergency_context(trace, t) for _, t, kind
+                          in monitors._step_pass(trace, config).grants if kind == "release")
+        assert exempt == 18
+
+    def test_r24_alone_never_reads_the_log(self, mammobot, config):
+        """reach's cross-check calls R24 alone: it runs the step pass only."""
+        class Unreadable(list):
+            def __iter__(self):
+                raise AssertionError("the log was read")
+
+        trace = run_events(mammobot, config, nominal_timeline(config), enabled=True)
+        expected = monitors.monitor_r24(trace, config)
+        trace.log = Unreadable(trace.log)
+        assert monitors.monitor_r24(trace, config) == expected
+
 
 class TestPartialLedger:
     def test_ledger_naming_only_some_actions(self, mammobot):
@@ -269,42 +312,68 @@ class TestPartialLedger:
         assert "radiographerConfirmFresh" in verdicts["R24"].explanation
 
 
-def _stops_on_resume(entry, witness):
-    return entry == "resume"
+def _entries(*kinds):
+    """Log entries of the given kinds, one millisecond apart."""
+    return [LogEntry(t, kind, "System", "") for t, kind in enumerate(kinds)]
+
+
+def _witnesses(kinds, formula):
+    """The formula's witness kind before each entry and after the last: the
+    state ``_since`` holds at each point of the sequence."""
+    log = _entries(*kinds)
+    out = []
+    for k in range(len(log) + 1):
+        witness = monitors._since(log[:k], formulas={"f": formula}).final["f"]
+        out.append(None if witness is None else witness.kind)
+    return out
+
+
+_STOPS_ON_RESUME = {"resume": None}
 
 
 class TestSince:
     """``monitors._since``: past-time "not stop S start" with its witness."""
 
     def test_new_start_replaces_the_witness(self):
-        assert monitors._since(["a", "b", "x"], lambda e: e in ("a", "b"), _stops_on_resume) == [
-            None, "a", "b", "b"]
+        formula = monitors.Formula(frozenset({"a", "b"}), _STOPS_ON_RESUME)
+        assert _witnesses(["a", "b", "x"], formula) == [None, "a", "b", "b"]
 
     def test_stop_sees_the_witness_it_would_end(self):
         asked = []
 
         def stop(entry, witness):
-            asked.append((entry, witness))
-            return entry == "resume" and witness != "abandon"
+            asked.append((entry.kind, witness.kind))
+            return entry.kind == "resume" and witness.kind != "abandon"
 
-        entries = ["x", "abandon", "resume", "fault", "x", "resume", "resume"]
-        assert monitors._since(entries, lambda e: e in ("abandon", "fault"), stop) == [
+        kinds = ["x", "abandon", "resume", "fault", "x", "resume", "resume"]
+        formula = monitors.Formula(frozenset({"abandon", "fault"}), {"resume": stop, "x": stop})
+        assert _witnesses(kinds, formula) == [
             None, None, "abandon", "abandon", "fault", "fault", None, None]
+        asked.clear()
+        monitors._since(_entries(*kinds), formulas={"f": formula})
         # asked only while a witness is held, and never for a start
         assert asked == [("resume", "abandon"), ("x", "fault"), ("resume", "fault")]
 
     def test_a_none_stop_never_holds(self):
-        assert monitors._since(["a", "resume", "x"], lambda e: e == "a", None) == [
-            None, "a", "a", "a"]
+        formula = monitors.Formula(frozenset({"a"}), {})
+        assert _witnesses(["a", "resume", "x"], formula) == [None, "a", "a", "a"]
 
-    @pytest.mark.parametrize("entries,last", [
+    @pytest.mark.parametrize("kinds,last", [
         ([], None), (["fault"], "fault"), (["fault", "resume"], None),
         (["fault", "resume", "fault", "x"], "fault"),
     ], ids=["empty", "started", "stopped", "restarted"])
-    def test_last_element_is_the_state_after_the_sequence(self, entries, last):
-        out = monitors._since(entries, lambda e: e == "fault", _stops_on_resume)
-        assert len(out) == len(entries) + 1
-        assert out[-1] == last
+    def test_last_element_is_the_state_after_the_sequence(self, kinds, last):
+        formula = monitors.Formula(frozenset({"fault"}), _STOPS_ON_RESUME)
+        final = monitors._since(_entries(*kinds), formulas={"f": formula}).final["f"]
+        assert (None if final is None else final.kind) == last
+
+    def test_a_read_sees_the_witness_before_its_entry(self):
+        formula = monitors.Formula(frozenset({"@motion", "fault"}), _STOPS_ON_RESUME,
+                                   frozenset({"motion"}))
+        log = [LogEntry(0, "fault", "System", ""), LogEntry(1, "motion", "System", "", "motion"),
+               LogEntry(2, "motion", "System", "", "motion")]
+        reads = monitors._since(log, formulas={"f": formula}).reads["f"]
+        assert [(i, witness.kind) for i, _, witness in reads] == [(1, "fault"), (2, "motion")]
 
 
 def _log(*entries):
@@ -330,6 +399,31 @@ class TestPastTimeEdges:
         trace = run_events(mammobot, config, [], enabled=True)
         trace.log = _log(*entries)
         assert monitors._emergency_context(trace, t) is expected
+
+    @pytest.mark.parametrize("resume_first,expected", [
+        (True, (VIOLATED, "motion at 6000 after stop at 5000 before resume")),
+        (False, (SATISFIED, "")),
+    ], ids=["resume-logged-before-the-stop", "resume-logged-after-the-stop"])
+    def test_stop_pairs_with_the_resume_logged_after_it(self, mammobot, config,
+                                                        resume_first, expected):
+        # a stop at 4000, a resume at 5000 and a second stop at 5000, then
+        # motion at 6000; a resume ends only the stops logged before it
+        trace = run_events(mammobot, config, [], enabled=True)
+
+        def step(t, source, kind, moving=False):
+            snapshot = list(trace.final_snapshot)
+            snapshot[SNAP_CLOCK], snapshot[SNAP_ARM_MOVING] = t, moving
+            return TraceStep(Event(t, source, kind), tuple(snapshot), (), ())
+
+        stop, resume = step(5000, "Patient", "voiceStop"), step(5000, "System", "resumeRequest")
+        trace.steps = [step(4000, "Patient", "voiceStop"),
+                       *((resume, stop) if resume_first else (stop, resume)),
+                       step(6000, "System", "tick", moving=True)]
+        trace.log = _log((4000, "interruption"), *(
+            [(5000, "resume"), (5000, "interruption")] if resume_first
+            else [(5000, "interruption"), (5000, "resume")]))
+        verdict = verdict_map(trace, config)["R14"]
+        assert (verdict.status, verdict.explanation) == expected
 
     def test_resume_does_not_end_an_abandonment(self, mammobot, config):
         trace = run_events(mammobot, config, nominal_timeline(config), enabled=True)
@@ -392,3 +486,12 @@ class TestNoLogProse:
                 compared |= set().union(*(_constant_strings(o) for o in others))
         assert compared, "no mark compared"
         assert compared <= set(LOG_MARKS), compared - set(LOG_MARKS)
+
+    def test_formula_marks_closed(self):
+        """Each mark a past-time formula starts, stops or is read on is one
+        the executive writes."""
+        named = set()
+        for formula in monitors.FORMULAS.values():
+            atoms = formula.start | formula.stop.keys()
+            named |= formula.read | {atom[1:] for atom in atoms if atom.startswith("@")}
+        assert named and named <= set(LOG_MARKS), named - set(LOG_MARKS)
