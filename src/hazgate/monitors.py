@@ -7,17 +7,17 @@ protected and unprotected runs alike.  A monitor returns Satisfied,
 Violated (with a witness index into the trace) or NotApplicable when the
 trace never exercises it.
 
-A trace is judged in two passes; each monitor builds its verdict from their
-facts.  ``_step_pass`` reads the steps once: the grants (R1, R15, R16, R20,
-R24), the confirmation ledger fed step by step (the interlock failures at
-each exposure for R16 and R24, the ledger at each grant for R20), the
-auditable families (R8) and the stops (R14).  ``_since`` reads the log once,
-forward: it counts its families and checks its order (R8), pairs each stop
-entry with the first resume logged after it (R14), collects the stage
-transitions (R26) and evaluates each past-time "not stop S start" formula
-of ``FORMULAS`` with its witness (Havelund & Rosu, TACAS 2002), dispatching
-each entry on its kind and ``mark`` (``session.LOG_MARKS``, written
-``@mark``), never its ``details``:
+A trace is judged in two passes, neither of which needs the other; each
+monitor builds its verdict from their facts.  ``_step_pass`` reads the steps
+once: the grants (R1, R15, R16, R24), the confirmation ledger fed step by
+step (the interlock failures at each exposure for R16 and R24, the ledger at
+each grant for R20), the auditable families (R8) and the stops (R14).
+``_since`` reads the log once, forward: it counts its families and checks its
+order (R8), pairs each stop entry with the first resume logged after it
+(R14), collects the stage transitions (R26) and evaluates each past-time
+"not stop S start" formula of ``FORMULAS`` with its witness (Havelund &
+Rosu, TACAS 2002), dispatching each entry on its kind and ``mark``
+(``session.LOG_MARKS``, written ``@mark``), never its ``details``:
 
 * ``reference`` (R21, read at @plan and @exposure): started by postureChange,
   interruption, fault or @motionComplete, never ended;
@@ -26,11 +26,12 @@ each entry on its kind and ``mark`` (``session.LOG_MARKS``, written
 * ``pending`` (R25, read at @motion, @exposure and the log's end): started
   by abandon, fault or interruption, ended by @release, @motion, @exposure
   or a resume, but a resume never ends an abandonment;
-* ``abandoned`` and ``emergency`` (R20, read at each release): started by
+* ``abandoned`` and ``emergency`` (R20, read at @release): started by
   abandon, never ended; started by fault or interruption, ended by a resume
-  only when strictly later.  A release's walk ends at the first entry past
-  its time or at its own entry, so an emergency logged after it in the
-  same millisecond did not mandate it.
+  only when strictly later.  R20 pairs the k-th release grant with the k-th
+  @release read, which the executive logs with the grant; as every read
+  sees the witness before its entry, an emergency logged after the release
+  in the same millisecond did not mandate it.
 
 ``evaluate_monitors`` runs both passes for every monitor; a monitor run
 alone as ``monitor_rX(trace, config)`` runs only the passes it reads, so
@@ -103,13 +104,13 @@ def exposure_condition_failures(posture_valid, stable_since, arm_moving, patient
 # action, identified by the actuator marker the engine emits in both modes
 
 _MARKER_GRANT = {"start-motion": "motion", "fire-exposure": "exposure",
-                 "enter-compliance": "release", "plan-accepted": "plan"}
+                 "enter-compliance": "release"}
 _GRANT_LEDGER_ACTION = {"motion": "motionStart", "exposure": "exposure", "release": "release"}
 _NO_CONFIRMATION = (None, -1)  # (time, step) of a source never heard from
 
 
 class StepFacts(NamedTuple):
-    grants: list  # (step, t, kind) of each motion start, exposure, release and plan acceptance
+    grants: list  # (step, t, kind) of each motion start, exposure and release
     ledger: list  # (step, t, action, {source: (t, step) of its latest confirmation}) per grant
     exposures: list  # (step, t, failed interlock conditions) at each exposure
     expected: dict  # R8: per auditable family, the events the log must record
@@ -161,7 +162,7 @@ def _step_pass(trace, config: ExecConfig, exposures_only: bool = False) -> StepF
                 granted = "exposure"
         if orphans_fire:
             in_progress = snap[SNAP_EXPOSURE_IN_PROGRESS]
-        if granted is None or granted == "plan":
+        if granted is None:
             continue
         t, action = snap[SNAP_CLOCK], _GRANT_LEDGER_ACTION[granted]
         held = latest.get(action)
@@ -236,10 +237,11 @@ FORMULAS = {
                         # a resume never ends an abandonment
                         "resume": lambda entry, witness: witness.kind != "abandon"},
                        frozenset({"motion", "exposure"})),
-    "abandoned": Formula(frozenset({"abandon"}), {}),
+    "abandoned": Formula(frozenset({"abandon"}), {}, frozenset({"release"})),
     # a resume ends a fault or stop only when strictly later
     "emergency": Formula(frozenset({"fault", "interruption"}),
-                         {"resume": lambda entry, witness: entry.t > witness.t}),
+                         {"resume": lambda entry, witness: entry.t > witness.t},
+                         frozenset({"release"})),
 }
 _FORMULA_OPS = _Ops(FORMULAS)
 
@@ -248,33 +250,25 @@ class LogFacts(NamedTuple):
     reads: dict  # formula -> (log index, entry, witness before it) where it is read
     final: dict  # formula -> its witness after the last entry
     started: set  # the formulas some entry started
-    at_release: dict  # release time -> formula -> its witness where that walk ends (R20)
     counts: dict  # entries per auditable family (R8)
     ordered: bool  # no entry's time is below its predecessor's (R8)
     resumed: list  # per stop entry, the time of the first resume logged after it, or None (R14)
     transitions: list  # (log index, entry) of each stage transition (R26)
 
 
-def _since(log, releases=(), formulas: dict = FORMULAS) -> LogFacts:
-    """Every formula of ``formulas`` over ``log`` in one forward pass.  A
-    release time t reads the witnesses just before the first entry past t
-    or marked ``release``, or after the last entry where there is none."""
+def _since(log, formulas: dict = FORMULAS) -> LogFacts:
+    """Every formula of ``formulas`` over ``log`` in one forward pass."""
     ops = _FORMULA_OPS if formulas is FORMULAS else _Ops(formulas)
     held = dict.fromkeys(formulas)
     reads = {name: [] for name, formula in formulas.items() if formula.read}
-    started, counts, at_release, resumed, transitions = set(), defaultdict(int), {}, [], []
+    started, counts, resumed, transitions = set(), defaultdict(int), [], []
     unresumed = 0  # the first stop entry no resume has followed yet
-    queries = sorted(set(releases), reverse=True)
     ordered, last = True, log[0].t if log else 0
     for index, entry in enumerate(log):
         t, kind, mark = entry.t, entry.kind, entry.mark
         if t < last:
             ordered = False
         last = t
-        if queries and (t > queries[-1] or entry.mark == "release"):
-            state = held.copy()
-            while queries and (t > queries[-1] or entry.mark == "release"):
-                at_release[queries.pop()] = state
         for op, name, guard in (ops[kind] if mark is None else ops[kind, mark]):
             if op == _COUNT:
                 counts[kind] += 1
@@ -294,20 +288,7 @@ def _since(log, releases=(), formulas: dict = FORMULAS) -> LogFacts:
             else:
                 resumed[unresumed:] = [t] * (len(resumed) - unresumed)
                 unresumed = len(resumed)
-    at_release.update(dict.fromkeys(queries, held))
-    return tuple.__new__(LogFacts, (reads, held, started, at_release, counts, ordered,
-                                    resumed, transitions))
-
-
-def _in_emergency(state) -> bool:
-    return state["abandoned"] is not None or state["emergency"] is not None
-
-
-def _emergency_context(trace, t) -> bool:
-    """The emergency context of a release at time t alone.  Any later resume
-    ends a fault, even one before the fault was cleared: that is the known
-    R20 false positive (ROADMAP item 5), one guard short on ``emergency``."""
-    return _in_emergency(_since(trace.log, (t,)).at_release[t])
+    return tuple.__new__(LogFacts, (reads, held, started, counts, ordered, resumed, transitions))
 
 
 # -- the bank ----------------------------------------------------------------
@@ -315,21 +296,13 @@ def _emergency_context(trace, t) -> bool:
 
 class TraceFacts(NamedTuple):
     steps: StepFacts
-    log: LogFacts  # with R20's emergency context at each release
-
-
-def _trace_facts(trace, config: ExecConfig) -> TraceFacts:
-    steps = _step_pass(trace, config)
-    log = _since(trace.log, [t for _, t, action, _ in steps.ledger if action == "release"])
-    return tuple.__new__(TraceFacts, (steps, log))
+    log: LogFacts
 
 
 def monitor_r1(trace, config: ExecConfig, facts: TraceFacts | None = None) -> MonitorVerdict:
     """Command response within budget once gates pass (grants are immediate)."""
     granted, violations = False, []
     for index, t, kind in (facts.steps if facts else _step_pass(trace, config, True)).grants:
-        if kind == "plan":
-            continue
         granted, event = True, trace.steps[index].event
         if event is not None and t - event.timestamp > config.command_response_budget_ms:
             violations.append((index, f"{kind} responded {t - event.timestamp} ms after command"))
@@ -425,14 +398,17 @@ def monitor_r20(trace, config: ExecConfig, facts: TraceFacts | None = None) -> M
     """Multi-source confirmation before motion, exposure and release: each
     required source fresh and since the action's last checked grant.  A
     release in emergency context is the safe-posture transition, left to
-    R25: it is not checked and consumes nothing."""
-    facts = facts or _trace_facts(trace, config)
-    at_release, required = facts.log.at_release, config.ledger_requirements
-    stale = config.confirmation_staleness_ms
+    R25: it is not checked and consumes nothing.  The k-th release grant
+    reads its context at the k-th ``@release`` entry; one with none is checked."""
+    ledger = (facts.steps if facts else _step_pass(trace, config)).ledger
+    reads = (facts.log if facts else _since(trace.log)).reads
+    emergencies = iter([abandon or fault for (_, _, abandon), (_, _, fault)
+                        in zip(reads["abandoned"], reads["emergency"])])
+    required, stale = config.ledger_requirements, config.confirmation_staleness_ms
     consumed = {}  # action -> the step of its last checked grant
     checked, violations = [], []
-    for i, t, action, held in facts.steps.ledger:
-        if action == "release" and _in_emergency(at_release[t]):
+    for i, t, action, held in ledger:
+        if action == "release" and next(emergencies, None) is not None:
             continue
         after = consumed.get(action, -1)
         consumed[action] = i
@@ -506,5 +482,5 @@ MONITORED_REQUIREMENTS = tuple(MONITORS)
 
 def evaluate_monitors(trace, config: ExecConfig, requirements=None) -> list[MonitorVerdict]:
     selected = MONITORED_REQUIREMENTS if requirements is None else requirements
-    facts = _trace_facts(trace, config)
+    facts = tuple.__new__(TraceFacts, (_step_pass(trace, config), _since(trace.log)))
     return [MONITORS[r](trace, config, facts) for r in selected if r in MONITORS]

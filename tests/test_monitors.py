@@ -201,6 +201,30 @@ class TestEmergencyRelease:
         assert (verdict.status, verdict.explanation) == (
             VIOLATED, "release at 5000 without fresh Radiographer")
 
+    def test_release_reads_its_context_at_its_logged_entry(self, mammobot, config):
+        """R20 pairs each release grant with a @release entry: under a pending
+        fault the release the executive logs is exempt, and the same grant
+        with no @release entry in its log is checked."""
+        events = [Event(100, "Sensor", "fault"),
+                  Event(200, "Patient", "commandConfirm", {"action": "release"})]
+        trace = run_events(mammobot, config, events, enabled=True)
+        assert verdict_map(trace, config)["R20"].status == NOT_APPLICABLE
+        trace.log = [e for e in trace.log if e.mark != "release"]
+        verdict = verdict_map(trace, config)["R20"]
+        assert (verdict.status, verdict.explanation) == (
+            VIOLATED, "release at 200 without fresh Radiographer")
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 5: any resume ends a fault, even one before the fault "
+        "was cleared, so a safe-path release after an uncleared fault is checked"))
+    @pytest.mark.parametrize("seed,draw", [(1, 585), (7, 4218), (48, 115)])
+    def test_release_after_an_uncleared_fault_is_exempt(self, mammobot, config, seed, draw):
+        rng = random.Random(seed)
+        for _ in range(draw + 1):
+            timeline = _random_timeline(rng)
+        verdict = verdict_map(run_events(mammobot, config, timeline, enabled=True), config)["R20"]
+        assert verdict.status != VIOLATED, verdict.explanation
+
 
 class TestLogMonitors:
     def test_tampered_log_fails_r8(self, mammobot, config):
@@ -284,8 +308,9 @@ class TestSharedFacts:
         for timeline in sweep.values():
             trace = run_events(mammobot, config, timeline, enabled=True)
             self._assert_bank_equals_alone(trace, config)
-            exempt += any(monitors._emergency_context(trace, t) for _, t, kind
-                          in monitors._step_pass(trace, config).grants if kind == "release")
+            reads = monitors._since(trace.log).reads
+            exempt += sum(abandoned is not None or emergency is not None for (_, _, abandoned),
+                          (_, _, emergency) in zip(reads["abandoned"], reads["emergency"]))
         assert exempt == 18
 
     def test_r24_alone_never_reads_the_log(self, mammobot, config):
@@ -382,23 +407,32 @@ def _log(*entries):
 
 
 class TestPastTimeEdges:
-    """``_emergency_context`` and R25 on hand-built logs, including orderings
-    that no generated input reaches."""
+    """R20's emergency context and R25 on hand-built logs, including
+    orderings that no generated input reaches."""
 
     @pytest.mark.parametrize("entries,t,expected", [
-        ([(100, "fault"), (100, "resume")], 100, True),  # a resume must come strictly later
-        ([(100, "interruption"), (200, "resume")], 200, False),
-        ([(100, "fault"), (200, "resume")], 150, True),  # entries after t are not read
-        ([(50, "abandon"), (100, "fault"), (200, "resume")], 300, True),
-        ([(100, "fault"), (300, "tick"), (200, "resume")], 250, True),  # reads up to t only
-        # ends at the release's own entry: a same-ms fault after it is not read
+        # a resume must come strictly later
+        ([(100, "fault"), (100, "resume"), (100, "release", "release")], 100, True),
+        ([(100, "interruption"), (200, "resume"), (200, "release", "release")], 200, False),
+        # entries after the release's are not read
+        ([(100, "fault"), (150, "release", "release"), (200, "resume")], 150, True),
+        ([(50, "abandon"), (100, "fault"), (200, "resume"), (300, "release", "release")],
+         300, True),
+        # read at the release's own entry: a same-ms fault after it is not read
         ([(100, "release", "release"), (100, "fault")], 100, False),
     ], ids=["same-ms-resume", "resumed", "resume-after-t", "abandoned-then-resumed",
-            "out-of-order-log", "fault-after-release"])
+            "fault-after-release"])
     def test_emergency_context(self, mammobot, config, entries, t, expected):
+        """One release granted at t with no confirmation: R20 leaves it to
+        R25 in emergency context and finds it unconfirmed otherwise."""
         trace = run_events(mammobot, config, [], enabled=True)
+        snapshot = list(trace.final_snapshot)
+        snapshot[SNAP_CLOCK] = t
+        release = Event(t, "Patient", "commandConfirm", {"action": "release"})
+        trace.steps = [TraceStep(release, tuple(snapshot), ("enter-compliance",), ())]
         trace.log = _log(*entries)
-        assert monitors._emergency_context(trace, t) is expected
+        status = verdict_map(trace, config)["R20"].status
+        assert status == (NOT_APPLICABLE if expected else VIOLATED)
 
     @pytest.mark.parametrize("resume_first,expected", [
         (True, (VIOLATED, "motion at 6000 after stop at 5000 before resume")),
@@ -462,10 +496,19 @@ def _constant_strings(node):
     return set()
 
 
+def _formula_marks(formulas):
+    """The marks the past-time formulas start, stop or are read on."""
+    named = set()
+    for formula in formulas.values():
+        atoms = formula.start | formula.stop.keys()
+        named |= formula.read | {atom[1:] for atom in atoms if atom.startswith("@")}
+    return named
+
+
 class TestNoLogProse:
     """Monitors and reach learn what a log entry records from its mark: its
-    details are read only into an explanation, and each mark compared is
-    one the executive writes."""
+    details are read only into an explanation, and each mark compared, or
+    named by a past-time formula, is one the executive writes."""
 
     @pytest.mark.parametrize("module", [monitors, reach], ids=lambda m: m.__name__)
     def test_details_unread_and_marks_closed(self, module):
@@ -474,7 +517,7 @@ class TestNoLogProse:
                        for n in ast.walk(f)}
         assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute)
                 and n.attr == "details" and id(n) not in in_f_string] == []
-        compared = set()
+        compared = _formula_marks(getattr(module, "FORMULAS", {}))
         for node in ast.walk(tree):
             if not isinstance(node, ast.Compare):
                 continue
@@ -484,14 +527,11 @@ class TestNoLogProse:
                                                       and o.attr == "mark")]
                 assert all(_constant_strings(o) for o in others), node.lineno
                 compared |= set().union(*(_constant_strings(o) for o in others))
-        assert compared, "no mark compared"
+        assert compared, "no mark compared or named"
         assert compared <= set(LOG_MARKS), compared - set(LOG_MARKS)
 
     def test_formula_marks_closed(self):
         """Each mark a past-time formula starts, stops or is read on is one
         the executive writes."""
-        named = set()
-        for formula in monitors.FORMULAS.values():
-            atoms = formula.start | formula.stop.keys()
-            named |= formula.read | {atom[1:] for atom in atoms if atom.startswith("@")}
+        named = _formula_marks(monitors.FORMULAS)
         assert named and named <= set(LOG_MARKS), named - set(LOG_MARKS)
