@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
@@ -47,11 +48,55 @@ class TraceStep(NamedTuple):
 # what json.dumps(obj, separators=(",", ":")) builds per call, built once
 COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 
-# one --trace line per step, then the final line; see Trace.to_jsonl
-_STEP_LINE = '{"t":%d,"event":%s,"node":%s,"emitted":[%s],"verdicts":[%s]}'
-_EVENT = '{"t":%d,"source":%s,"kind":%s,"payload":%s}'
+# one --trace line per step, then the final line; see Trace.to_jsonl.  A step
+# line is its clock, its event's time and payload, and two fragments that
+# repeat across steps: the event head and the tail from the node on
+_STEP_LINE = '{"t":%d,"event":{"t":%d,%s%s}%s'
+_CLOSE_OUT_LINE = '{"t":%d,"event":null%s'
+_EVENT_HEAD = '"source":%s,"kind":%s,"payload":'
+_STEP_TAIL = ',"node":%s,"emitted":[%s],"verdicts":[%s]}'
 _VERDICT = '{"kind":%s,"subject":%s,"requirement":%s,"detail":%s}'
 _FINAL_LINE = '{"final":{"status":%s,"node":%s}}\n'
+
+
+# Each distinct fragment is escaped once per process and kept in a bounded
+# memo, as executive._label_role keeps node roles.  Its key holds only text and
+# None, whose equal values JSON writes alike; a payload is user JSON, whose
+# equal values it can write differently (True and 1, 0.0 and -0.0), so each
+# payload is encoded per event.
+@lru_cache(maxsize=1024)
+def _event_head(source: str, kind: str) -> str:
+    text = encode_basestring_ascii  # COMPACT_JSON's own string escape
+    return _EVENT_HEAD % (text(source), text(kind))
+
+
+@lru_cache(maxsize=1024)
+def _step_tail(node: str, emitted: tuple, verdicts: tuple) -> str:
+    text = encode_basestring_ascii
+    return _STEP_TAIL % (
+        text(node), ",".join(map(text, emitted)),
+        ",".join([_VERDICT % (text(v.kind), text(v.subject),
+                              "null" if v.requirement is None else text(v.requirement),
+                              text(v.detail))
+                  for v in verdicts]))
+
+
+def _trace_lines(trace: Trace, event_head, step_tail) -> str:
+    encode = COMPACT_JSON.encode
+    lines = []
+    for event, snapshot, emitted, verdicts in trace.steps:
+        if event is None:
+            lines.append(_CLOSE_OUT_LINE % (snapshot[SNAP_CLOCK],
+                                            step_tail(snapshot[SNAP_NODE], emitted, verdicts)))
+        else:
+            payload = event.payload
+            lines.append(_STEP_LINE % (
+                snapshot[SNAP_CLOCK], event.timestamp, event_head(event.source, event.kind),
+                encode(payload) if payload else "{}",
+                step_tail(snapshot[SNAP_NODE], emitted, verdicts)))
+    text = encode_basestring_ascii
+    lines.append(_FINAL_LINE % (text(trace.final_status), text(trace.final_node)))
+    return "\n".join(lines)
 
 
 @dataclass
@@ -79,23 +124,10 @@ class Trace:
         event payload, which is user JSON of any shape, goes through the
         encoder; every other value is an int, text or a null requirement.
         """
-        text = encode_basestring_ascii  # COMPACT_JSON's own string escape
-        lines = []
-        for event, snapshot, emitted, verdicts in self.steps:
-            if event is None:
-                event_json = "null"
-            else:
-                payload = event.payload
-                event_json = _EVENT % (event.timestamp, text(event.source), text(event.kind),
-                                       COMPACT_JSON.encode(payload) if payload else "{}")
-            lines.append(_STEP_LINE % (
-                snapshot[SNAP_CLOCK], event_json, text(snapshot[SNAP_NODE]), ",".join(map(text, emitted)),
-                ",".join([_VERDICT % (text(v.kind), text(v.subject),
-                                      "null" if v.requirement is None else text(v.requirement),
-                                      text(v.detail))
-                          for v in verdicts])))
-        lines.append(_FINAL_LINE % (text(self.final_status), text(self.final_node)))
-        return "\n".join(lines)
+        try:
+            return _trace_lines(self, _event_head, _step_tail)
+        except TypeError:  # a hand-built list field cannot key the memo
+            return _trace_lines(self, _event_head.__wrapped__, _step_tail.__wrapped__)
 
 
 @dataclass
