@@ -11,7 +11,6 @@ hazgate, so the executive, the monitors, simulate and reach can all import it.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 SOURCES = ("Radiographer", "Patient", "Sensor", "System")
@@ -157,16 +156,7 @@ class SessionLog:
         return iter(self.entries)
 
 
-_LOG_LINE = '{"t":%d%s'
-_LOG_TAIL = ',"kind":%s,"actor":%s,"details":%s}\n'
-
-
-@lru_cache(maxsize=1024)
-def _log_tail(kind: str, actor: str, details: str) -> str:
-    """An entry's line after its time, escaped once per distinct entry text
-    and kept in a bounded memo."""
-    text = encode_basestring_ascii  # the compact JSON encoder's own string escape
-    return _LOG_TAIL % (text(kind), text(actor), text(details))
+_LOG_LINE = '{"t":%d,"kind":%s,"actor":%s,"details":%s}\n'
 
 
 def log_jsonl(entries) -> str:
@@ -174,11 +164,9 @@ def log_jsonl(entries) -> str:
     order, with the bytes ``json.dumps(entry.to_json_dict(),
     separators=(",", ":"))`` gives.
     """
-    try:
-        return "".join([_LOG_LINE % (e.t, _log_tail(e.kind, e.actor, e.details)) for e in entries])
-    except TypeError:  # a hand-built list field cannot key the memo
-        tail = _log_tail.__wrapped__
-        return "".join([_LOG_LINE % (e.t, tail(e.kind, e.actor, e.details)) for e in entries])
+    text = encode_basestring_ascii  # the compact JSON encoder's own string escape
+    return "".join([_LOG_LINE % (e.t, text(e.kind), text(e.actor), text(e.details))
+                    for e in entries])
 
 
 STATUS_RUNNING = "running"

@@ -59,11 +59,12 @@ _VERDICT = '{"kind":%s,"subject":%s,"requirement":%s,"detail":%s}'
 _FINAL_LINE = '{"final":{"status":%s,"node":%s}}\n'
 
 
-# Each distinct fragment is escaped once per process and kept in a bounded
-# memo, as executive._label_role keeps node roles.  Its key holds only text and
-# None, whose equal values JSON writes alike; a payload is user JSON, whose
-# equal values it can write differently (True and 1, 0.0 and -0.0), so each
-# payload is encoded per event.
+# Each distinct fragment is escaped once per process and kept in a memo of at
+# most 1,024 fragments (bounded by count, not by their length), as
+# executive._label_role keeps node roles.  Its key holds only text and None,
+# whose equal values JSON writes alike; a payload is user JSON, whose equal
+# values it can write differently (True and 1, 0.0 and -0.0), so each payload
+# is encoded per event.
 @lru_cache(maxsize=1024)
 def _event_head(source: str, kind: str) -> str:
     text = encode_basestring_ascii  # COMPACT_JSON's own string escape
@@ -79,24 +80,6 @@ def _step_tail(node: str, emitted: tuple, verdicts: tuple) -> str:
                               "null" if v.requirement is None else text(v.requirement),
                               text(v.detail))
                   for v in verdicts]))
-
-
-def _trace_lines(trace: Trace, event_head, step_tail) -> str:
-    encode = COMPACT_JSON.encode
-    lines = []
-    for event, snapshot, emitted, verdicts in trace.steps:
-        if event is None:
-            lines.append(_CLOSE_OUT_LINE % (snapshot[SNAP_CLOCK],
-                                            step_tail(snapshot[SNAP_NODE], emitted, verdicts)))
-        else:
-            payload = event.payload
-            lines.append(_STEP_LINE % (
-                snapshot[SNAP_CLOCK], event.timestamp, event_head(event.source, event.kind),
-                encode(payload) if payload else "{}",
-                step_tail(snapshot[SNAP_NODE], emitted, verdicts)))
-    text = encode_basestring_ascii
-    lines.append(_FINAL_LINE % (text(trace.final_status), text(trace.final_node)))
-    return "\n".join(lines)
 
 
 @dataclass
@@ -124,10 +107,21 @@ class Trace:
         event payload, which is user JSON of any shape, goes through the
         encoder; every other value is an int, text or a null requirement.
         """
-        try:
-            return _trace_lines(self, _event_head, _step_tail)
-        except TypeError:  # a hand-built list field cannot key the memo
-            return _trace_lines(self, _event_head.__wrapped__, _step_tail.__wrapped__)
+        text = encode_basestring_ascii  # COMPACT_JSON's own string escape
+        encode = COMPACT_JSON.encode
+        lines = []
+        for event, snapshot, emitted, verdicts in self.steps:
+            # tuple() keys a hand-built list field; a tuple is passed as is
+            tail = _step_tail(snapshot[SNAP_NODE], tuple(emitted), tuple(verdicts))
+            if event is None:
+                lines.append(_CLOSE_OUT_LINE % (snapshot[SNAP_CLOCK], tail))
+            else:
+                payload = event.payload
+                lines.append(_STEP_LINE % (snapshot[SNAP_CLOCK], event.timestamp,
+                                           _event_head(event.source, event.kind),
+                                           encode(payload) if payload else "{}", tail))
+        lines.append(_FINAL_LINE % (text(self.final_status), text(self.final_node)))
+        return "\n".join(lines)
 
 
 @dataclass
